@@ -1,4 +1,4 @@
-//! Benchmarks the compiled execution engines against the tree
+//! Benchmarks the register VM (sequential and batched) against the tree
 //! interpreter on the corpus kernels and writes the per-kernel
 //! speedups to `BENCH_interp.json`.
 //!
@@ -6,25 +6,22 @@
 //! [output.json] [--check]` (repeats via `LOCUS_REPEATS`, default 10).
 //!
 //! With `--check` the harness additionally fails (exit 1) unless every
-//! kernel is bit-identical across all engines *and* the batched path,
+//! kernel is bit-identical across both engines *and* the batched path,
 //! the register VM clears its speedup floors — 7x geomean batched
 //! (the headline path: compile once, measure many configurations) and
-//! 6x sequential — the stack VM holds its historical 5x floor
-//! (regression guard), and the disabled-tracer `run_traced` path costs
+//! 6x sequential — and the disabled-tracer `run_traced` path costs
 //! less than 1% over plain `run` — the CI smoke gate for the compiled
-//! engines and for the tracing hooks staying free when tracing is off.
+//! engine and for the tracing hooks staying free when tracing is off.
 //!
 //! The floors are set from measured geomeans (~8x batched, ~7.5x
-//! sequential register, ~5.5x stack on the reference machine) with
-//! noise headroom; past the loop/subscript-chain fusion the remaining
-//! per-iteration time is contract work the engines must reproduce
-//! bit-identically (the tree's per-charge f64 additions, per-access
-//! cache simulation, flop counting), which bounds how far dispatch
-//! elimination alone can push the ratio.
+//! sequential on the reference machine) with noise headroom; past the
+//! loop/subscript-chain fusion the remaining per-iteration time is
+//! contract work the register VM must reproduce bit-identically (the
+//! tree's per-charge f64 additions, per-access cache simulation, flop
+//! counting), which bounds how far dispatch elimination alone can push
+//! the ratio.
 
-use locus_bench::interp::{
-    geomean_batched, geomean_reg, geomean_stack, run_interp, to_json, trace_overhead,
-};
+use locus_bench::interp::{geomean_batched, geomean_reg, run_interp, to_json, trace_overhead};
 
 fn main() {
     let repeats = std::env::var("LOCUS_REPEATS")
@@ -45,16 +42,13 @@ fn main() {
     let rows = run_interp(repeats);
     for r in &rows {
         println!(
-            "{:<24} {:>10} ops  tree {:>7.3}s  stack {:>6.2}x  reg {:>6.2}x  batched {:>6.2}x  identical {}",
-            r.label, r.ops, r.tree_s, r.stack_speedup, r.reg_speedup, r.batched_speedup, r.identical,
+            "{:<24} {:>10} ops  tree {:>7.3}s  reg {:>6.2}x  batched {:>6.2}x  identical {}",
+            r.label, r.ops, r.tree_s, r.reg_speedup, r.batched_speedup, r.identical,
         );
     }
-    let stack = geomean_stack(&rows);
     let reg = geomean_reg(&rows);
     let batched = geomean_batched(&rows);
-    println!(
-        "geomean speedups: stack {stack:.2}x, register {reg:.2}x, batched register {batched:.2}x"
-    );
+    println!("geomean speedups: register {reg:.2}x, batched register {batched:.2}x");
 
     let overhead = trace_overhead(repeats);
     println!(
@@ -69,9 +63,9 @@ fn main() {
     eprintln!("wrote {out}");
 
     if check {
-        // Bit-identity covers tree vs stack vs register vs batched
-        // register: the batched path must be indistinguishable from
-        // per-variant evaluation.
+        // Bit-identity covers tree vs register vs batched register:
+        // the batched path must be indistinguishable from per-variant
+        // evaluation.
         let all_identical = rows.iter().all(|r| r.identical);
         if !all_identical {
             eprintln!("FAIL: engines (or batched evaluation) disagree on at least one kernel");
@@ -83,10 +77,6 @@ fn main() {
         }
         if reg < 6.0 {
             eprintln!("FAIL: register-VM geomean {reg:.2}x is below the 6x floor");
-            std::process::exit(1);
-        }
-        if stack < 5.0 {
-            eprintln!("FAIL: stack-VM geomean {stack:.2}x regressed below its historical 5x floor");
             std::process::exit(1);
         }
         // The ceiling is a claim about the code, measured on a shared,
@@ -115,7 +105,7 @@ fn main() {
         }
         eprintln!(
             "check passed: bit-identical (incl. batched), batched register {batched:.2}x >= 7x, \
-             register {reg:.2}x >= 6x, stack {stack:.2}x >= 5x, trace overhead {:+.2}% < 1%",
+             register {reg:.2}x >= 6x, trace overhead {:+.2}% < 1%",
             overhead.overhead() * 100.0
         );
     }

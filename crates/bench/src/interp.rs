@@ -1,7 +1,7 @@
 //! Benchmarks the execution engines against each other: every kernel is
-//! run on the tree interpreter, the stack-bytecode VM and the register
-//! VM (each timed over several repeats of the full `Machine::run` path,
-//! compilation included), plus the register VM's *batched* path
+//! run on the tree interpreter and the register VM (each timed over
+//! several repeats of the full `Machine::run` path, compilation
+//! included), plus the register VM's *batched* path
 //! (compile once via [`CompiledVariant`], then measure repeatedly) —
 //! after first asserting that every path returns bit-identical
 //! measurements. The per-kernel speedups over the tree oracle and
@@ -33,22 +33,18 @@ pub struct InterpRow {
     pub ops: u64,
     /// Wall-clock of `repeats` tree-interpreter runs, seconds.
     pub tree_s: f64,
-    /// Wall-clock of `repeats` stack-VM runs, seconds.
-    pub stack_s: f64,
     /// Wall-clock of `repeats` register-VM runs (compile every call,
     /// like `Machine::run`), seconds.
     pub reg_s: f64,
     /// Wall-clock of `repeats` register-VM runs through a shared
     /// [`CompiledVariant`] (compile once, measure many), seconds.
     pub batched_s: f64,
-    /// `tree_s / stack_s`.
-    pub stack_speedup: f64,
     /// `tree_s / reg_s`.
     pub reg_speedup: f64,
     /// `tree_s / batched_s`.
     pub batched_speedup: f64,
-    /// Whether all engines *and* the batched path returned bit-identical
-    /// measurements.
+    /// Whether both engines *and* the batched path returned
+    /// bit-identical measurements.
     pub identical: bool,
 }
 
@@ -146,28 +142,22 @@ fn time_batched(config: &MachineConfig, program: &Program, repeats: usize) -> f6
 }
 
 /// Runs one kernel on every engine: asserts identity first (tree vs
-/// stack vs register vs batched register), then times `repeats` full
-/// runs of each path.
+/// register vs batched register), then times `repeats` full runs of
+/// each path.
 pub fn run_kernel(label: &str, program: &Program, repeats: usize) -> InterpRow {
     let config = MachineConfig::scaled_small();
     let tree_m = Machine::new(config.clone().with_engine(ExecEngine::Tree))
         .run(program, "kernel")
         .expect("tree run");
-    let stack_m = Machine::new(config.clone().with_engine(ExecEngine::Bytecode))
-        .run(program, "kernel")
-        .expect("stack vm run");
     let reg_m = Machine::new(config.clone().with_engine(ExecEngine::RegisterVm))
         .run(program, "kernel")
         .expect("register vm run");
     let batched_m = CompiledVariant::new(program.clone(), "kernel")
         .run(&config.clone().with_engine(ExecEngine::RegisterVm))
         .expect("batched run");
-    let identical = bit_identical(&tree_m, &stack_m)
-        && bit_identical(&tree_m, &reg_m)
-        && bit_identical(&tree_m, &batched_m);
+    let identical = bit_identical(&tree_m, &reg_m) && bit_identical(&tree_m, &batched_m);
 
     let tree_s = time_engine(&config, ExecEngine::Tree, program, repeats);
-    let stack_s = time_engine(&config, ExecEngine::Bytecode, program, repeats);
     let reg_s = time_engine(&config, ExecEngine::RegisterVm, program, repeats);
     let batched_s = time_batched(
         &config.clone().with_engine(ExecEngine::RegisterVm),
@@ -179,10 +169,8 @@ pub fn run_kernel(label: &str, program: &Program, repeats: usize) -> InterpRow {
         repeats,
         ops: tree_m.ops,
         tree_s,
-        stack_s,
         reg_s,
         batched_s,
-        stack_speedup: tree_s / stack_s.max(1e-12),
         reg_speedup: tree_s / reg_s.max(1e-12),
         batched_speedup: tree_s / batched_s.max(1e-12),
         identical,
@@ -195,11 +183,6 @@ pub fn run_interp(repeats: usize) -> Vec<InterpRow> {
         .iter()
         .map(|(label, program)| run_kernel(label, program, repeats))
         .collect()
-}
-
-/// Geometric-mean stack-VM speedup across the rows.
-pub fn geomean_stack(rows: &[InterpRow]) -> f64 {
-    geomean(&rows.iter().map(|r| r.stack_speedup).collect::<Vec<_>>())
 }
 
 /// Geometric-mean register-VM speedup (compile every call).
@@ -297,12 +280,10 @@ pub fn to_json(rows: &[InterpRow]) -> String {
     );
     out.push_str(&format!(
         concat!(
-            "  \"geomean_stack_speedup\": {:.2},\n",
             "  \"geomean_register_speedup\": {:.2},\n",
             "  \"geomean_batched_speedup\": {:.2},\n",
             "  \"rows\": [\n",
         ),
-        geomean_stack(rows),
         geomean_reg(rows),
         geomean_batched(rows)
     ));
@@ -314,10 +295,8 @@ pub fn to_json(rows: &[InterpRow]) -> String {
                 "      \"repeats\": {},\n",
                 "      \"ops\": {},\n",
                 "      \"tree_s\": {:.6},\n",
-                "      \"stack_s\": {:.6},\n",
                 "      \"reg_s\": {:.6},\n",
                 "      \"batched_s\": {:.6},\n",
-                "      \"stack_speedup\": {:.2},\n",
                 "      \"register_speedup\": {:.2},\n",
                 "      \"batched_speedup\": {:.2},\n",
                 "      \"bit_identical\": {}\n",
@@ -327,10 +306,8 @@ pub fn to_json(rows: &[InterpRow]) -> String {
             r.repeats,
             r.ops,
             r.tree_s,
-            r.stack_s,
             r.reg_s,
             r.batched_s,
-            r.stack_speedup,
             r.reg_speedup,
             r.batched_speedup,
             r.identical,

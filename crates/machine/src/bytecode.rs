@@ -1,29 +1,33 @@
-//! Flat bytecode for the compiled execution engine.
+//! Register-based bytecode for the compiled execution engine.
 //!
-//! The `compile` module lowers the mini-C AST into this instruction set
-//! in one pass: scalars are resolved to frame slots, array names are
-//! interned to dense `ArrayId`s, and structured control flow becomes
-//! jumps. The `vm` module executes it while charging the *exact* cost,
-//! cache, OpenMP and vectorizer model of the tree interpreter — the two
-//! engines produce bit-identical [`crate::Measurement`]s, and the tree
-//! interpreter remains the reference oracle (see
-//! `tests/vm_equivalence.rs`).
+//! The `regalloc` module lowers the mini-C AST to three-address
+//! instructions over a virtual register frame: scalar slots occupy the
+//! low registers, expression temporaries live above them, and every
+//! operand is pre-decoded into an [`Opnd`] at lowering time — there is
+//! no operand stack, so the dispatch loop in `vm` touches only the
+//! registers an instruction names. Whole subscript chains collapse into
+//! one [`RInsn::Nav`] dispatch driven by a [`NavDesc`] side table, and
+//! the per-iteration loop overhead (condition, fall-through charge,
+//! step, back edge) collapses into [`RInsn::CmpBr`] + [`RInsn::StepJump`].
 //!
-//! Design notes for the bit-identity contract:
+//! Cost folding happens at lowering: cycle charges inside lexically
+//! vectorized regions are stored *pre-divided* by the vector discount
+//! (the region structure is static, so `cost / w` is a compile-time
+//! constant and the tree interpreter's `vector_depth` branch
+//! disappears from dispatch). The f64 division is performed once with
+//! the same operands the tree interpreter uses per charge, so the
+//! accumulated `cycles` stay bit-identical.
 //!
-//! * every `fuel()` tick of the tree interpreter is accounted by a
-//!   `Insn::Fuel` instruction; the compiler merges ticks that are
-//!   *adjacent* (no intervening effect or possible error), which keeps
-//!   totals and error outcomes identical while shrinking dispatch
-//!   counts;
-//! * cycle charges are never merged — floating-point accumulation is
-//!   order-sensitive, so each `charge()` of the tree interpreter is one
-//!   charge here, in the same order;
-//! * statically unresolvable constructs (undefined names, unsupported
-//!   operators) compile to `Insn::Throw`, so they only error if the
-//!   enclosing code path actually executes, exactly like the tree.
+//! The bit-identity contract: every fuel tick, cycle charge, cache
+//! access and flop increment of the tree interpreter happens in the
+//! same order with the same values, and errors are raised at the same
+//! semantic points with the same payloads (see the `regalloc` module
+//! docs for how lowering keeps it). `tests/vm_equivalence.rs` holds
+//! the engine to it, with the tree interpreter as the oracle.
 
 use locus_srcir::ast::{BinOp, OmpSchedule};
+
+use crate::interp::Value;
 
 /// Dense index of an interned array name.
 ///
@@ -77,10 +81,10 @@ pub(crate) fn advance_base(next_base: u64, len: usize) -> u64 {
 /// into a small (and silently wrong) allocation.
 pub const MAX_ARRAY_ELEMS: usize = 1 << 28;
 
-/// Overflow-checked total element count of an allocation. All engines
+/// Overflow-checked total element count of an allocation. Both engines
 /// validate the dimension *product* here, after the per-dimension
 /// positivity checks have passed, so the error point is identical
-/// across the tree interpreter and both VMs.
+/// across the tree interpreter and the register VM.
 pub(crate) fn checked_alloc_len(name: &str, dims: &[usize]) -> Result<usize, crate::RuntimeError> {
     let mut len = 1usize;
     for &d in dims {
@@ -103,7 +107,7 @@ pub(crate) enum CastKind {
     Keep,
 }
 
-/// Runtime error raised by a [`Insn::Throw`].
+/// Runtime error raised by a [`RInsn::Throw`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ThrowKind {
     /// [`crate::RuntimeError::UndefinedVariable`].
@@ -152,120 +156,526 @@ pub(crate) struct Chain {
     pub(crate) msg: u32,
 }
 
-/// An array access fused onto the end of a subscript chain: the access
-/// the chain's flat index feeds, executed in the same dispatch as the
-/// chain's last index step ([`crate::peephole`]). Always accesses the
-/// same array the chain indexed.
+/// Index into the virtual register frame. Slots (resolved scalars) are
+/// the low registers; temporaries start at the lowering pass's
+/// pre-scanned slot bound.
+pub(crate) type RegId = u32;
+
+/// A pre-decoded instruction operand: a register or an immediate.
+/// Immediates carry their tag (`ImmF` behaves as a `double` operand for
+/// the flop-counting rules, exactly like a pushed float literal).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum AccessTail {
-    /// No fused access; the flat index stays on the stack.
-    None,
-    /// A fused [`Insn::LoadArray`].
-    Load,
-    /// A fused [`Insn::LoadArrayBin`].
-    LoadBin(BinOp, f64),
-    /// A fused [`Insn::StoreArrayPop`].
-    StorePop,
+pub(crate) enum Opnd {
+    /// Read a register.
+    Reg(RegId),
+    /// Integer immediate.
+    ImmI(i64),
+    /// Float immediate.
+    ImmF(f64),
 }
 
-/// One bytecode instruction. All cost constants are baked in at compile
-/// time from the machine's [`crate::cost::CostModel`].
+/// One subscript of a fused navigation chain. Only side-effect-free
+/// shapes are eligible (a register holding a resolved scalar, a
+/// constant, or `slot ⊕ const`), so evaluating them inside one dispatch
+/// cannot reorder effects.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Insn {
+pub(crate) enum SubIdx {
+    /// Subscript read from a register.
+    Reg(RegId),
+    /// Constant subscript.
+    Imm(i64),
+    /// `slot ⊕ const` subscript (`B[j-1]`, `A[t % 2]` — the stencil hot
+    /// path): charge `bcost`, count a flop for a double lhs, apply.
+    RegOff {
+        /// Register holding the lhs.
+        s: RegId,
+        /// Subscript operator.
+        op: BinOp,
+        /// Constant rhs.
+        rhs: i64,
+        /// Subscript-computation charge.
+        bcost: f64,
+    },
+    /// `(slot ⊕ x) ⊕ y` subscript (`A[(t + 1) % 2]`, `ell[nm * 6 + d]`
+    /// — the stencil time-toggle and flattened-tensor hot paths):
+    /// charge/flop/apply the inner op, then the outer, in tree order.
+    /// `op1` is restricted to error-free operators at lowering time so
+    /// the merged fuel (ticked before the chain step) cannot reorder
+    /// against an inner-op error — the outer op is the first possible
+    /// error point, by which the tree has ticked every merged tick.
+    RegOff2 {
+        /// Register holding the innermost lhs.
+        s: RegId,
+        /// Inner operator (never `Div`/`Rem`).
+        op1: BinOp,
+        /// Inner rhs.
+        r1: Opnd,
+        /// Inner-op charge.
+        bcost1: f64,
+        /// Outer operator.
+        op2: BinOp,
+        /// Outer rhs.
+        r2: Opnd,
+        /// Outer-op charge.
+        bcost2: f64,
+    },
+}
+
+/// One dimension step of a [`NavDesc`]: tick the pending fuel, evaluate
+/// the subscript, bounds-check against the dimension extent, fold into
+/// the flat index, charge the address arithmetic — the tree's `locate`
+/// for one subscript.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DimStep {
+    /// Fuel ticked before this subscript is evaluated (the merged
+    /// pending ticks the unfused lowering would flush before its
+    /// [`RInsn::IdxDim`]).
+    pub(crate) fuel: u32,
+    /// The subscript.
+    pub(crate) idx: SubIdx,
+    /// Address-arithmetic charge after the bounds check.
+    pub(crate) cost: f64,
+}
+
+/// Maximum rank a subscript chain may have to fuse into one
+/// [`RInsn::Nav`]; deeper chains fall back to stepwise [`RInsn::IdxDim`]
+/// lowering.
+pub(crate) const MAX_NAV_DIMS: usize = 4;
+
+/// The array access fused onto the end of a navigation chain, executed
+/// on the flat index the chain produced.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RTail {
+    /// Read the element through the cache into `dst`.
+    Load {
+        /// Destination register.
+        dst: RegId,
+    },
+    /// Read the element as the rhs of a binary op (`lhs ⊕ elem`).
+    LoadBin {
+        /// Binary operator.
+        op: BinOp,
+        /// Operator charge.
+        cost: f64,
+        /// Left operand, evaluated before the chain was entered.
+        lhs: Opnd,
+        /// Destination register.
+        dst: RegId,
+    },
+    /// Write `val` through the cache (coerced to the element type).
+    Store {
+        /// The stored value.
+        val: Opnd,
+    },
+    /// Read-modify-write one address: two cache accesses, one chain.
+    Rmw {
+        /// Combine operator.
+        op: BinOp,
+        /// Operator charge.
+        cost: f64,
+        /// Right-hand side of the combine.
+        rhs: Opnd,
+        /// Destination register for the combined value.
+        dst: RegId,
+    },
+}
+
+/// A whole subscript chain plus its fused access: the operand of
+/// [`RInsn::Nav`], stored in a side table so the instruction stays
+/// `Copy`-small.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NavDesc {
+    /// The array accessed.
+    pub(crate) id: ArrayId,
+    /// Number of live entries in `steps`.
+    pub(crate) n: u32,
+    /// Sum of the per-step fuel, for the executor's single up-front
+    /// budget check (taken only when it cannot exhaust mid-chain — the
+    /// tick *order* is unobservable, only totals and error points are).
+    pub(crate) total_fuel: u32,
+    /// The per-dimension steps, outermost first.
+    pub(crate) steps: [DimStep; MAX_NAV_DIMS],
+    /// The access run on the final flat index.
+    pub(crate) tail: RTail,
+}
+
+/// A fused innermost counted loop. The lowering pass's final fusion
+/// step recognizes `CmpBr; straight-line body; StepJump-back` windows
+/// and overwrites the `CmpBr` slot with [`RInsn::HotLoop`]; the guard's
+/// fields move here (the body and the `StepJump` stay in place and are
+/// read through `body`/`step`, so no instruction is duplicated and no
+/// index shifts). The executor then runs the whole loop — guard, body
+/// scan, step — inside one dispatch, issuing exactly the instruction
+/// sequence the unfused loop would, minus the dispatcher round-trips.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HotLoopDesc {
+    /// Guard fuel (the original `CmpBr`'s leading ticks).
+    pub(crate) fuel: u32,
+    /// Comparison operator.
+    pub(crate) op: BinOp,
+    /// Comparison charge.
+    pub(crate) cost: f64,
+    /// Left operand.
+    pub(crate) a: Opnd,
+    /// Right operand.
+    pub(crate) b: Opnd,
+    /// Charge applied after the comparison on both paths.
+    pub(crate) post: f64,
+    /// Jump target when the guard is falsy.
+    pub(crate) exit: u32,
+    /// Fall-through (per-iteration) charge.
+    pub(crate) pcost: f64,
+    /// Body range `code[body.0..body.1]` — straight-line shapes only
+    /// (verified at fusion time).
+    pub(crate) body: (u32, u32),
+    /// Index of the original [`RInsn::StepJump`], whose fields drive
+    /// the loop step.
+    pub(crate) step: u32,
+}
+
+/// A local array allocation: dimension extents were evaluated (and
+/// positivity-checked) one by one; the alloc reads their values from
+/// these operands. Eligible operands are re-read at alloc time, so the
+/// lowering pass shields any that later dimension expressions could
+/// mutate.
+#[derive(Debug, Clone)]
+pub(crate) struct AllocDesc {
+    /// Interned name being (re)allocated.
+    pub(crate) id: ArrayId,
+    /// Dimension extents, outermost first.
+    pub(crate) dims: Vec<Opnd>,
+    /// Element type.
+    pub(crate) is_float: bool,
+}
+
+/// One register instruction. All cost constants are baked in at
+/// lowering time (pre-divided inside vectorized regions).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RInsn {
     /// `n` fuel ticks (`ops += n`, runaway-guard check).
     Fuel(u32),
-    /// Push an integer literal.
-    PushInt(i64),
-    /// Push a float literal.
-    PushFloat(f64),
-    /// Drop the top of stack.
-    Pop,
-    /// Duplicate the top of stack.
-    Dup,
     /// Unconditional jump.
     Jump(u32),
-    /// Pop; jump when the value is falsy.
-    JumpIfFalse(u32),
-    /// Push the value of a scalar slot.
-    LoadSlot(SlotId),
-    /// Pop and store into a slot, preserving the slot's current tag
-    /// (the tree interpreter's `write_scalar`).
-    StoreSlot(SlotId),
-    /// Push the value of a dynamically resolved scalar (see [`Chain`]).
-    LoadChain(u32),
-    /// Pop and store into a dynamically resolved scalar (see [`Chain`]).
-    StoreChain(u32),
-    /// Pop and (re)initialize a slot from a declaration with the
-    /// declared type's coercion.
-    DeclSlot(SlotId, CastKind),
+    /// Jump when the operand is falsy.
+    BrFalsy {
+        /// Tested operand.
+        src: Opnd,
+        /// Branch target.
+        t: u32,
+    },
+    /// Fused comparison-and-branch: tick `fuel`, evaluate, charge
+    /// `cost`, count flops, apply; charge `post` (an `if` condition's
+    /// trailing add) on both paths; on fall-through charge `pcost` (a
+    /// loop's per-iteration charge).
+    CmpBr {
+        /// Fuel ticked first (merged pending + condition ticks).
+        fuel: u32,
+        /// Comparison operator.
+        op: BinOp,
+        /// Comparison charge.
+        cost: f64,
+        /// Left operand.
+        a: Opnd,
+        /// Right operand.
+        b: Opnd,
+        /// Charge applied after the comparison on *both* paths
+        /// (0.0 when none).
+        post: f64,
+        /// Branch target when falsy.
+        t: u32,
+        /// Fall-through charge (0.0 when none).
+        pcost: f64,
+    },
+    /// Fused loop step and back edge: tick `fuel`, combine the slot
+    /// with `rhs` (compound-assignment semantics: flop when the *old*
+    /// value is a double), store tag-preserving, jump to `t`.
+    StepJump {
+        /// Fuel ticked first (merged pending + step ticks).
+        fuel: u32,
+        /// Combine operator.
+        op: BinOp,
+        /// Combine charge.
+        cost: f64,
+        /// Register of the stepped slot.
+        slot: RegId,
+        /// Step amount.
+        rhs: Opnd,
+        /// Back-edge target.
+        t: u32,
+    },
+    /// Copy an operand into a register (no charge; a lowering artifact
+    /// for shielding values across side effects).
+    Mov {
+        /// Destination register.
+        dst: RegId,
+        /// Source operand.
+        src: Opnd,
+    },
+    /// Store into a slot register preserving its current tag (the tree
+    /// interpreter's `write_scalar`).
+    SetSlot {
+        /// Register of the target slot.
+        slot: RegId,
+        /// Stored value.
+        src: Opnd,
+    },
+    /// Read a dynamically resolved scalar (see [`Chain`]).
+    LoadChain {
+        /// Chain-table index.
+        chain: u32,
+        /// Destination register.
+        dst: RegId,
+    },
+    /// Store into a dynamically resolved scalar, tag-preserving.
+    StoreChain {
+        /// Chain-table index.
+        chain: u32,
+        /// Stored value.
+        src: Opnd,
+    },
+    /// (Re)initialize a slot from a declaration with the declared
+    /// type's coercion (overwrites the tag).
+    DeclSlot {
+        /// Register of the declared slot.
+        slot: RegId,
+        /// Declared type's coercion.
+        kind: CastKind,
+        /// Initializer value.
+        src: Opnd,
+    },
     /// (Re)initialize a slot to the declared type's default value.
-    DeclDefault(SlotId, bool),
-    /// Charge cycles through the vector-discount gate.
+    DeclDefault {
+        /// Register of the declared slot.
+        slot: RegId,
+        /// Whether the declared type is floating.
+        is_float: bool,
+    },
+    /// Charge cycles (already vector-discounted where applicable).
     Charge(f64),
     /// Arithmetic negation: charge, count a flop for doubles.
-    Neg(f64),
+    Neg {
+        /// Charge.
+        cost: f64,
+        /// Destination register.
+        dst: RegId,
+        /// Operand.
+        src: Opnd,
+    },
     /// Logical not: charge.
-    Not(f64),
-    /// Pop rhs then lhs, charge, count flops, apply the operator.
-    Bin(BinOp, f64),
-    /// Compound-assignment combine: pop old then rhs, charge, count a
-    /// flop when *old* is a double, apply `old op rhs`.
-    CompoundBin(BinOp, f64),
-    /// Pop; push `Int(1)` when truthy else `Int(0)`.
-    Truthy,
-    /// `&&` left arm: pop; when falsy, push `Int(0)` and jump.
-    AndShortCircuit(u32),
-    /// `||` left arm: pop; when truthy, push `Int(1)` and jump.
-    OrShortCircuit(u32),
+    Not {
+        /// Charge.
+        cost: f64,
+        /// Destination register.
+        dst: RegId,
+        /// Operand.
+        src: Opnd,
+    },
+    /// Three-address binary op: charge, count flops, apply.
+    Bin {
+        /// Operator.
+        op: BinOp,
+        /// Charge.
+        cost: f64,
+        /// Destination register.
+        dst: RegId,
+        /// Left operand.
+        a: Opnd,
+        /// Right operand.
+        b: Opnd,
+    },
+    /// Compound assignment to a slot in statement position: combine
+    /// (flop when the *old* value is a double), store tag-preserving.
+    CompoundSet {
+        /// Operator.
+        op: BinOp,
+        /// Charge.
+        cost: f64,
+        /// Register of the target slot.
+        slot: RegId,
+        /// Right-hand side.
+        rhs: Opnd,
+    },
+    /// [`RInsn::CompoundSet`] whose combined (uncoerced) value is also
+    /// needed: it lands in `dst` before the tag-preserving store.
+    CompoundSetVal {
+        /// Operator.
+        op: BinOp,
+        /// Charge.
+        cost: f64,
+        /// Register of the target slot.
+        slot: RegId,
+        /// Right-hand side.
+        rhs: Opnd,
+        /// Destination register for the combined value.
+        dst: RegId,
+    },
+    /// Compound combine without a store (chained or unsupported
+    /// targets): flop when the *old* operand is a double.
+    CompoundTmp {
+        /// Operator.
+        op: BinOp,
+        /// Charge.
+        cost: f64,
+        /// Destination register.
+        dst: RegId,
+        /// The old value.
+        old: Opnd,
+        /// Right-hand side.
+        rhs: Opnd,
+    },
+    /// `dst = 1` when the operand is truthy else `0`.
+    Truthy {
+        /// Destination register.
+        dst: RegId,
+        /// Tested operand.
+        src: Opnd,
+    },
+    /// `&&` left arm: when falsy, set `dst` to `Int(0)` and jump.
+    AndSC {
+        /// Tested operand.
+        src: Opnd,
+        /// Destination register (the `&&` expression's result).
+        dst: RegId,
+        /// Branch target.
+        t: u32,
+    },
+    /// `||` left arm: when truthy, set `dst` to `Int(1)` and jump.
+    OrSC {
+        /// Tested operand.
+        src: Opnd,
+        /// Destination register (the `||` expression's result).
+        dst: RegId,
+        /// Branch target.
+        t: u32,
+    },
     /// C cast: charge, coerce.
-    Cast(CastKind, f64),
-    /// Builtin call: charge the call overhead, pop the arguments, push
-    /// the result (`sqrt` additionally counts a flop and charges the
-    /// division cost).
-    Call(Builtin, f64),
+    Cast {
+        /// The coercion.
+        kind: CastKind,
+        /// Charge.
+        cost: f64,
+        /// Destination register.
+        dst: RegId,
+        /// Operand.
+        src: Opnd,
+    },
+    /// One-argument builtin call: charge the call overhead, apply
+    /// (`sqrt` additionally counts a flop and charges `div_cost`).
+    Call1 {
+        /// The builtin.
+        f: Builtin,
+        /// Call-overhead charge.
+        cost: f64,
+        /// Division charge for `sqrt` (0.0 otherwise).
+        div_cost: f64,
+        /// Destination register.
+        dst: RegId,
+        /// Argument.
+        a: Opnd,
+    },
+    /// Two-argument builtin call (`min`/`max`).
+    Call2 {
+        /// The builtin.
+        f: Builtin,
+        /// Call-overhead charge.
+        cost: f64,
+        /// Destination register.
+        dst: RegId,
+        /// First argument.
+        a: Opnd,
+        /// Second argument.
+        b: Opnd,
+    },
     /// Verify the array exists and its rank matches the subscript count
     /// (before any index expression is evaluated, like `locate`).
-    ArrayCheck(ArrayId, u32),
-    /// Fold one subscript into the flat index: pop the index (and the
-    /// accumulated flat index unless `first`), bounds-check, push the
-    /// new flat index, charge the address arithmetic.
-    IndexDim {
+    ArrayCheck {
+        /// The array accessed.
+        id: ArrayId,
+        /// Subscript count.
+        subs: u32,
+    },
+    /// Stepwise subscript fold (the general path for chains a
+    /// [`RInsn::Nav`] cannot express): bounds-check `idx`, fold into
+    /// the accumulator register, charge.
+    IdxDim {
         /// The array accessed.
         id: ArrayId,
         /// Which dimension this subscript addresses.
         dim: u32,
-        /// First subscript of the chain (no accumulated index yet).
+        /// First subscript of the chain (accumulator not yet live).
         first: bool,
         /// Address-arithmetic charge.
         cost: f64,
+        /// The subscript value.
+        idx: Opnd,
+        /// Flat-index accumulator register.
+        acc: RegId,
     },
-    /// Pop the flat index, read the element through the cache, push it.
-    LoadArray(ArrayId),
-    /// Pop the flat index and the value, write through the cache, push
-    /// the (uncoerced) value back.
-    StoreArray(ArrayId),
-    /// Compound assignment to an array element: pop the flat index and
-    /// the rhs, then read-modify-write *one* address (two cache
-    /// accesses, one subscript chain); push the new value.
-    RmwArray(ArrayId, BinOp, f64),
-    /// Peek the just-evaluated dimension extent; error when `<= 0`.
-    DimCheck(ArrayId),
-    /// Pop `dims` extents (innermost on top) and allocate a local
-    /// array, advancing the allocation cursor.
-    AllocArray {
-        /// Interned name being (re)allocated.
+    /// Run a whole fused subscript chain + access ([`NavDesc`]).
+    Nav(u32),
+    /// Run a whole fused innermost loop ([`HotLoopDesc`]) in one
+    /// dispatch.
+    HotLoop(u32),
+    /// Error when the just-evaluated dimension extent is `<= 0`.
+    DimCheck {
+        /// The array being declared.
         id: ArrayId,
-        /// Number of dimensions to pop.
-        dims: u32,
-        /// Element type.
-        is_float: bool,
+        /// The extent value.
+        v: Opnd,
     },
-    /// Enter a vectorized loop (arithmetic discount on).
-    VecEnter,
-    /// Leave a vectorized loop.
-    VecLeave,
-    /// Enter an `omp parallel for` loop: activates a parallel context
-    /// unless already inside one (nested pragmas serialize).
+    /// Allocate a local array ([`AllocDesc`]), advancing the
+    /// allocation cursor.
+    AllocArray(u32),
+    /// Read an element through the cache ([`RInsn::IdxDim`] tail).
+    LoadA {
+        /// The array accessed.
+        id: ArrayId,
+        /// Flat-index accumulator register.
+        acc: RegId,
+        /// Destination register.
+        dst: RegId,
+    },
+    /// Write an element through the cache ([`RInsn::IdxDim`] tail).
+    StoreA {
+        /// The array accessed.
+        id: ArrayId,
+        /// Flat-index accumulator register.
+        acc: RegId,
+        /// Stored value.
+        val: Opnd,
+    },
+    /// Read-modify-write one element ([`RInsn::IdxDim`] tail).
+    RmwA {
+        /// Combine operator.
+        op: BinOp,
+        /// Combine charge.
+        cost: f64,
+        /// The array accessed.
+        id: ArrayId,
+        /// Flat-index accumulator register.
+        acc: RegId,
+        /// Right-hand side.
+        rhs: Opnd,
+        /// Destination register for the combined value.
+        dst: RegId,
+    },
+    /// Load an element as the rhs of a binary op ([`RInsn::IdxDim`]
+    /// tail).
+    LoadABin {
+        /// Operator.
+        op: BinOp,
+        /// Operator charge.
+        cost: f64,
+        /// The array accessed.
+        id: ArrayId,
+        /// Flat-index accumulator register.
+        acc: RegId,
+        /// Left operand.
+        lhs: Opnd,
+        /// Destination register.
+        dst: RegId,
+    },
+    /// Enter an `omp parallel for` loop (nested pragmas serialize).
     ParEnter(Option<OmpSchedule>),
     /// Start-of-iteration timestamp for the active parallel context.
     IterStart,
@@ -278,241 +688,39 @@ pub(crate) enum Insn {
     Throw(ThrowKind, u32),
     /// Finalize any open parallel contexts and stop.
     Halt,
-
-    // ---- fused superinstructions ([`crate::peephole`]) -----------------
-    //
-    // Each is the exact composition of the instructions it replaces —
-    // same charges, flop counts and error behavior in the same order —
-    // so the peephole pass cannot change a measurement, only shrink
-    // dispatch and operand-stack traffic on the hot paths.
-    /// `PushInt` + `Bin`: rhs is the constant.
-    BinInt(BinOp, f64, i64),
-    /// `PushFloat` + `Bin`: rhs is the constant (always counts a flop,
-    /// like `Bin` with a double operand).
-    BinFloat(BinOp, f64, f64),
-    /// `LoadSlot` + `Bin`: rhs comes from the slot.
-    BinSlotR(BinOp, f64, SlotId),
-    /// `LoadSlot` + `BinInt`: lhs from the slot, rhs constant.
-    BinSlotInt(BinOp, f64, SlotId, i64),
-    /// `Bin` + `JumpIfFalse`: combine, branch on the unpushed result.
-    BinBr(BinOp, f64, u32),
-    /// `BinInt` + `JumpIfFalse`.
-    BinIntBr(BinOp, f64, i64, u32),
-    /// `Fuel` + `BinSlotInt` + `JumpIfFalse` — a whole `i < N` loop
-    /// condition, absorbing the fuel the back edge lands on, plus the
-    /// fall-through path's leading fuel and charge (the loop body's
-    /// prologue, which runs exactly when the branch is not taken).
-    BinSlotIntBr {
-        /// Fuel ticked before the comparison (0 when none fused).
-        fuel: u32,
-        /// Comparison operator.
-        op: BinOp,
-        /// Charge.
-        cost: f64,
-        /// Slot holding the lhs.
-        s: SlotId,
-        /// Constant rhs.
-        rhs: i64,
-        /// Branch target when the comparison is false.
-        t: u32,
-        /// Fuel ticked on the fall-through path (0 when none fused).
-        pfuel: u32,
-        /// Charge on the fall-through path (0 when none fused).
-        pcost: f64,
-    },
-    /// `LoadSlot` + `CompoundBin`: the old value comes from the slot.
-    CompoundSlot(BinOp, f64, SlotId),
-    /// `PushInt` + `CompoundSlot`: constant rhs.
-    CompoundSlotInt(BinOp, f64, SlotId, i64),
-    /// `CompoundSlot` + `StoreSlot` (src, then dst).
-    CompoundSlotStore(BinOp, f64, SlotId, SlotId),
-    /// `CompoundSlotInt` + `StoreSlot` — a whole `i += 1` (src, rhs,
-    /// dst).
-    CompoundSlotIntStore(BinOp, f64, SlotId, i64, SlotId),
-    /// `CompoundSlotIntStore` + `Jump` — a loop's step and back edge
-    /// (src, rhs, dst, target).
-    CompoundSlotIntStoreJump(BinOp, f64, SlotId, i64, SlotId, u32),
-    /// `LoadSlot` + `IndexDim`: the subscript comes from the slot.
-    IndexDimSlot {
-        /// The array accessed.
-        id: ArrayId,
-        /// Which dimension this subscript addresses.
-        dim: u32,
-        /// First subscript of the chain.
-        first: bool,
-        /// Address-arithmetic charge.
-        cost: f64,
-        /// Slot holding the subscript.
-        s: SlotId,
-        /// Fuel ticked *after* the index op (a following `Fuel` that
-        /// could not commute further left, absorbed here).
-        fuel: u32,
-        /// Array access fused onto the chain end, run last.
-        tail: AccessTail,
-    },
-    /// `PushInt` + `IndexDim`: constant subscript.
-    IndexDimInt {
-        /// The array accessed.
-        id: ArrayId,
-        /// Which dimension this subscript addresses.
-        dim: u32,
-        /// First subscript of the chain.
-        first: bool,
-        /// Address-arithmetic charge.
-        cost: f64,
-        /// The constant subscript.
-        v: i64,
-        /// Fuel ticked *after* the index op (a following `Fuel` that
-        /// could not commute further left, absorbed here).
-        fuel: u32,
-    },
-    /// `LoadArray` + `Bin`: the loaded element is the rhs.
-    LoadArrayBin(ArrayId, BinOp, f64),
-    /// `StoreArray` + `Pop`: a store in statement position (the pushed
-    /// value and its discard cancel out).
-    StoreArrayPop(ArrayId),
-    /// `BinSlotInt` + `IndexDim` — a `slot ⊕ const` subscript
-    /// (`B[j-1]`, `A[t%2]`), the stencil hot path.
-    IndexDimBinSlotInt {
-        /// The array accessed.
-        id: ArrayId,
-        /// Which dimension this subscript addresses.
-        dim: u32,
-        /// First subscript of the chain.
-        first: bool,
-        /// Address-arithmetic charge.
-        cost: f64,
-        /// Subscript operator.
-        op: BinOp,
-        /// Subscript-computation charge.
-        bcost: f64,
-        /// Slot holding the subscript lhs.
-        s: SlotId,
-        /// Constant subscript rhs.
-        v: i64,
-        /// Fuel ticked *after* the index op.
-        fuel: u32,
-        /// Array access fused onto the chain end, run last.
-        tail: AccessTail,
-    },
-    /// `BinInt` + `IndexDim` — a `<stack> ⊕ const` subscript.
-    IndexDimBinInt {
-        /// The array accessed.
-        id: ArrayId,
-        /// Which dimension this subscript addresses.
-        dim: u32,
-        /// First subscript of the chain.
-        first: bool,
-        /// Address-arithmetic charge.
-        cost: f64,
-        /// Subscript operator.
-        op: BinOp,
-        /// Subscript-computation charge.
-        bcost: f64,
-        /// Constant subscript rhs.
-        v: i64,
-        /// Fuel ticked *after* the index op.
-        fuel: u32,
-    },
-    /// Two adjacent `Charge`s — kept as two separate `+=`s so the f64
-    /// accumulation order (and hence the bits) is unchanged.
-    Charge2(f64, f64),
-    /// Two consecutive `IndexDimSlot`s of one subscript chain
-    /// (dimensions `dim` and `dim + 1` of the same array): a whole
-    /// `[i][j]` pair in one dispatch, with no stack traffic between.
-    Index2Slot {
-        /// The array accessed.
-        id: ArrayId,
-        /// Dimension the first subscript addresses; the second is
-        /// `dim + 1`.
-        dim: u32,
-        /// Whether the first subscript starts the chain.
-        first: bool,
-        /// Address-arithmetic charge of the first subscript.
-        c0: f64,
-        /// Slot holding the first subscript.
-        s0: SlotId,
-        /// Fuel ticked between the two index ops.
-        f0: u32,
-        /// Address-arithmetic charge of the second subscript.
-        c1: f64,
-        /// Slot holding the second subscript.
-        s1: SlotId,
-        /// Fuel ticked after the second index op.
-        f1: u32,
-        /// Array access fused onto the chain end, run last.
-        tail: AccessTail,
-    },
-    /// `IndexDimBinSlotInt` + `Index2Slot` — a whole three-subscript
-    /// chain `A[s ⊕ v][s0][s1]` (the time-toggled stencil hot path,
-    /// `A[t % 2][i][j]`), with the chain-ending access tail.
-    Index3BinSlotInt {
-        /// The array accessed.
-        id: ArrayId,
-        /// Dimension the first subscript addresses; the others are
-        /// `dim + 1` and `dim + 2`.
-        dim: u32,
-        /// Whether the first subscript starts the chain.
-        first: bool,
-        /// First subscript operator.
-        op: BinOp,
-        /// First subscript-computation charge.
-        bcost: f64,
-        /// Slot holding the first subscript's lhs.
-        s: SlotId,
-        /// Constant first-subscript rhs.
-        v: i64,
-        /// Address-arithmetic charge of the first subscript.
-        cost: f64,
-        /// Fuel ticked after the first index op.
-        fuel: u32,
-        /// Address-arithmetic charge of the second subscript.
-        c0: f64,
-        /// Slot holding the second subscript.
-        s0: SlotId,
-        /// Fuel ticked after the second index op.
-        f0: u32,
-        /// Address-arithmetic charge of the third subscript.
-        c1: f64,
-        /// Slot holding the third subscript.
-        s1: SlotId,
-        /// Fuel ticked after the third index op.
-        f1: u32,
-        /// Array access fused onto the chain end, run last.
-        tail: AccessTail,
-    },
 }
 
-/// A compiled program: flat code plus the initial machine image
-/// (global scalars, global arrays, allocation cursor) and the side
-/// tables error reporting needs.
+/// A lowered program: flat register code, the initial machine image,
+/// and the side tables ([`NavDesc`], [`AllocDesc`], [`Chain`],
+/// messages) execution and error reporting need.
 #[derive(Debug, Clone)]
 pub struct Exe {
-    pub(crate) code: Vec<Insn>,
-    /// Total scalar slots (globals first).
-    pub(crate) n_slots: usize,
+    pub(crate) code: Vec<RInsn>,
+    /// Register-frame size (slots + temporaries).
+    pub(crate) n_regs: usize,
     /// Initial values of the global slot prefix.
-    pub(crate) global_values: Vec<crate::interp::Value>,
+    pub(crate) global_values: Vec<Value>,
     /// Initial array table (globals allocated, locals `None`).
     pub(crate) arrays: Vec<Option<ArrayCell>>,
     /// Interned array names, for error messages and the checksum.
     pub(crate) array_names: Vec<String>,
-    /// Message table for [`Insn::Throw`] and [`Chain`]s.
+    /// Message table for [`RInsn::Throw`] and [`Chain`]s.
     pub(crate) messages: Vec<String>,
     /// Dynamic scalar-resolution chains (conditional bare declarations).
     pub(crate) chains: Vec<Chain>,
+    /// Fused navigation chains for [`RInsn::Nav`].
+    pub(crate) navs: Vec<NavDesc>,
+    /// Fused innermost loops for [`RInsn::HotLoop`].
+    pub(crate) hotloops: Vec<HotLoopDesc>,
+    /// Local array allocations for [`RInsn::AllocArray`].
+    pub(crate) allocs: Vec<AllocDesc>,
     /// Allocation cursor after the globals.
     pub(crate) next_base: u64,
 }
 
-impl Exe {
-    /// Number of instructions in the compiled program (diagnostics).
-    pub fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    /// Whether the program has no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
-    }
-}
+// `SlotId` and `RegId` are the same index space for the slot prefix of
+// the register frame; keep the alias equivalence checked.
+const _: () = {
+    const fn same_width(_: SlotId, _: RegId) {}
+    same_width(0u32, 0u32);
+};

@@ -45,7 +45,7 @@ pub enum RuntimeError {
     BadArrayDim(String),
     /// An array allocation's total element count overflowed the
     /// simulator's limit (`len *= dim` would wrap, or the product
-    /// exceeds [`crate::bytecode::MAX_ARRAY_ELEMS`]).
+    /// exceeds [`crate::MAX_ARRAY_ELEMS`]).
     ArrayTooLarge(String),
     /// The machine configuration itself is unusable (e.g. a cache level
     /// whose geometry does not yield a power-of-two set count). Machine
@@ -836,7 +836,7 @@ impl<'p> Interp<'p> {
 
 /// The auto-vectorizer model: collects innermost loops whose dependence
 /// analysis proves every dependence loop-independent. Shared by the
-/// tree interpreter and the bytecode compiler so both engines discount
+/// tree interpreter and the register compiler so both engines discount
 /// exactly the same loops.
 pub(crate) fn collect_auto_vectorizable(program: &Program) -> std::collections::HashSet<usize> {
     use locus_srcir::visit::walk_stmts;

@@ -40,19 +40,15 @@
 
 #![warn(missing_docs)]
 
-pub mod bytecode;
-mod bytecode2;
+mod bytecode;
 pub mod cache;
-mod compile;
 pub mod cost;
 pub mod interp;
-mod peephole;
 pub mod profiles;
 mod regalloc;
 mod vm;
-mod vm2;
 
-pub use bytecode::Exe;
+pub use bytecode::MAX_ARRAY_ELEMS;
 pub use cache::{CacheConfig, CacheHierarchy, CacheStats, Level};
 pub use cost::{CostModel, OmpModel};
 pub use interp::{Interp, Measurement, RuntimeError};
@@ -62,19 +58,15 @@ use locus_srcir::ast::Program;
 
 /// Which execution engine [`Machine::run`] uses.
 ///
-/// All engines implement the *same* semantics and performance model
+/// Both engines implement the *same* semantics and performance model
 /// and produce bit-identical [`Measurement`]s (asserted by the
 /// differential suite in `tests/vm_equivalence.rs`); they differ only
-/// in wall-clock speed. The tree interpreter remains the reference
-/// oracle, the stack VM a second oracle; the register VM is the
-/// production path.
+/// in wall-clock speed. The tree interpreter is the reference oracle;
+/// the register VM is the production path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// Walk the AST directly ([`Interp`]): simple, slow, the oracle.
     Tree,
-    /// Compile to flat bytecode once, then execute in a stack VM:
-    /// scalars become frame slots, array names dense ids, loops jumps.
-    Bytecode,
     /// Compile to register-based three-address code and run it in a
     /// direct-threaded VM: operands are pre-decoded virtual registers,
     /// per-iteration cost constants (vector discounts, charge folding)
@@ -259,46 +251,20 @@ impl Machine {
                 let mut interp = Interp::new(program, &self.config)?;
                 interp.run(entry)
             }
-            ExecEngine::Bytecode => {
+            ExecEngine::RegisterVm => {
                 // Validate the cache geometry *before* compiling so
                 // configuration errors take precedence over program
                 // errors, matching `Interp::new`'s order.
                 let cache = cache::CacheHierarchy::new(&self.config.cache)
                     .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
-                let exe = compile::compile(program, &self.config, entry)?;
+                let exe = regalloc::compile(program, &self.config, entry)?;
                 vm::run(&exe, &self.config, cache)
-            }
-            ExecEngine::RegisterVm => {
-                let cache = cache::CacheHierarchy::new(&self.config.cache)
-                    .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
-                let exe = regalloc::compile2(program, &self.config, entry)?;
-                vm2::run(&exe, &self.config, cache)
             }
         }
     }
 
-    /// Compiles `entry` once and evaluates it under every configuration
-    /// in `configs`, reusing the compiled code across all points that
-    /// share compile-time parameters (cost constants, vector geometry,
-    /// auto-vectorizer setting, parallel lowering). Tuning drivers that
-    /// sweep one variant across data sizes or machine profiles pay
-    /// lowering once instead of once per point.
-    ///
-    /// Each element is exactly what `Machine::new(cfg).run(program,
-    /// entry)` would return for that configuration — bit-identical
-    /// measurement or the same error — so batched and per-variant
-    /// evaluation are interchangeable.
-    pub fn run_batched(
-        program: &Program,
-        entry: &str,
-        configs: &[MachineConfig],
-    ) -> Vec<Result<Measurement, RuntimeError>> {
-        let variant = CompiledVariant::new(program.clone(), entry);
-        configs.iter().map(|cfg| variant.run(cfg)).collect()
-    }
-
     /// Like [`Machine::run`], but emits `machine`-category spans into
-    /// `tracer` around each internal stage (bytecode compilation and VM
+    /// `tracer` around each internal stage (register compilation and VM
     /// execution, or tree interpretation). With a disabled tracer this
     /// is exactly `run` — the span guards compile to no-ops — so the
     /// traced and untraced paths cannot diverge.
@@ -314,36 +280,18 @@ impl Machine {
                 let mut interp = Interp::new(program, &self.config)?;
                 interp.run(entry)
             }
-            ExecEngine::Bytecode => {
-                let cache = cache::CacheHierarchy::new(&self.config.cache)
-                    .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
-                let exe = {
-                    let _span = tracer.span("machine", "compile-bytecode");
-                    compile::compile(program, &self.config, entry)?
-                };
-                let _span = tracer.span("machine", "vm-measure");
-                vm::run(&exe, &self.config, cache)
-            }
             ExecEngine::RegisterVm => {
                 let cache = cache::CacheHierarchy::new(&self.config.cache)
                     .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
                 let exe = {
                     let _span = tracer.span("machine", "compile-regvm");
-                    regalloc::compile2(program, &self.config, entry)?
+                    regalloc::compile(program, &self.config, entry)?
                 };
                 let _span = tracer.span("machine", "vm-measure");
-                vm2::run(&exe, &self.config, cache)
+                vm::run(&exe, &self.config, cache)
             }
         }
     }
-}
-
-/// Lowered code for one (variant, engine, compile-parameter) point,
-/// memoized inside a [`CompiledVariant`].
-#[derive(Clone)]
-enum CompiledExe {
-    Stack(std::sync::Arc<Exe>),
-    Reg(std::sync::Arc<bytecode2::Exe2>),
 }
 
 /// A program variant held ready for *batched evaluation*: compile once,
@@ -367,7 +315,7 @@ enum CompiledExe {
 pub struct CompiledVariant {
     program: Program,
     entry: String,
-    memo: std::sync::Mutex<Vec<(u64, ExecEngine, CompiledExe)>>,
+    memo: std::sync::Mutex<Vec<(u64, std::sync::Arc<bytecode::Exe>)>>,
 }
 
 /// FNV-1a digest of the configuration fields that influence *lowering*
@@ -418,7 +366,7 @@ impl CompiledVariant {
     }
 
     /// Measures the variant under `config`, compiling at most once per
-    /// distinct `compile_key` × engine. Exactly equivalent to
+    /// distinct `compile_key`. Exactly equivalent to
     /// `Machine::new(config.clone()).run(self.program(), self.entry())`.
     pub fn run(&self, config: &MachineConfig) -> Result<Measurement, RuntimeError> {
         self.run_traced(config, &locus_trace::Tracer::disabled())
@@ -448,8 +396,8 @@ impl CompiledVariant {
         let exe = {
             let memo = self.memo.lock().expect("compile memo poisoned");
             memo.iter()
-                .find(|(k, eng, _)| *k == key && *eng == config.engine)
-                .map(|(_, _, exe)| exe.clone())
+                .find(|(k, _)| *k == key)
+                .map(|(_, exe)| exe.clone())
         };
         let exe = match exe {
             Some(exe) => exe,
@@ -457,40 +405,19 @@ impl CompiledVariant {
                 // Compile outside the lock; failures are not cached
                 // (they are cheap to reproduce and keep the memo to
                 // successful entries only).
-                let compiled = match config.engine {
-                    ExecEngine::Bytecode => {
-                        let _span = tracer.span("machine", "compile-bytecode");
-                        CompiledExe::Stack(std::sync::Arc::new(compile::compile(
-                            &self.program,
-                            config,
-                            &self.entry,
-                        )?))
-                    }
-                    ExecEngine::RegisterVm => {
-                        let _span = tracer.span("machine", "compile-regvm");
-                        CompiledExe::Reg(std::sync::Arc::new(regalloc::compile2(
-                            &self.program,
-                            config,
-                            &self.entry,
-                        )?))
-                    }
-                    ExecEngine::Tree => unreachable!("handled above"),
+                let compiled = {
+                    let _span = tracer.span("machine", "compile-regvm");
+                    std::sync::Arc::new(regalloc::compile(&self.program, config, &self.entry)?)
                 };
                 let mut memo = self.memo.lock().expect("compile memo poisoned");
-                if !memo
-                    .iter()
-                    .any(|(k, eng, _)| *k == key && *eng == config.engine)
-                {
-                    memo.push((key, config.engine, compiled.clone()));
+                if !memo.iter().any(|(k, _)| *k == key) {
+                    memo.push((key, compiled.clone()));
                 }
                 compiled
             }
         };
         let _span = tracer.span("machine", "vm-measure");
-        match &exe {
-            CompiledExe::Stack(exe) => vm::run(exe, config, cache),
-            CompiledExe::Reg(exe) => vm2::run(exe, config, cache),
-        }
+        vm::run(&exe, config, cache)
     }
 }
 

@@ -1,28 +1,50 @@
 //! One-pass lowering from the mini-C AST to register bytecode
-//! ([`crate::bytecode2`]).
+//! ([`crate::bytecode`]).
 //!
-//! Mirrors [`crate::compile`] construct by construct — same fuel ticks,
-//! same charge order, same error points — but targets a virtual
-//! register frame instead of an operand stack. Scalars resolve to the
-//! low registers (slots), expression temporaries are allocated above a
-//! pre-scanned slot bound and reset per statement, and operands are
-//! pre-decoded ([`Opnd`]) so the executor never touches a stack.
+//! Mirrors the tree interpreter construct by construct — same fuel
+//! ticks, same charge order, same error points — but targets a virtual
+//! register frame instead of walking the AST. Scalars resolve to the
+//! low registers (slots), array names are interned to dense ids,
+//! structured control flow becomes jumps, expression temporaries are
+//! allocated above a pre-scanned slot bound and reset per statement,
+//! and operands are pre-decoded ([`Opnd`]) so the executor never
+//! touches an operand stack.
 //!
-//! Fusion happens here, at lowering time (the stack VM fuses in a
-//! separate peephole pass): whole subscript chains with
+//! Design notes for the bit-identity contract with the tree
+//! interpreter:
+//!
+//! * every `fuel()` tick of the tree is accounted by a fuel tick here,
+//!   but ticks are merged only when they are *adjacent* — no
+//!   intervening effect or possible error (see
+//!   [`Compiler::needs_fuel_flush`]) — which keeps totals and error
+//!   outcomes identical while shrinking dispatch counts;
+//! * cycle charges are never merged — floating-point accumulation is
+//!   order-sensitive, so each `charge()` of the tree is one charge
+//!   here, in the same order (folding only ever pre-divides a single
+//!   charge by the vector discount);
+//! * statically unresolvable constructs (undefined names, unsupported
+//!   operators) lower to [`RInsn::Throw`], so they only error if the
+//!   enclosing code path actually executes, exactly like the tree;
+//! * global setup (constant initializers, global array allocation) is
+//!   evaluated at compile time into the initial machine image, exactly
+//!   as `Interp::new` does — including its error cases, which surface
+//!   as compile errors because the tree raises them before execution
+//!   starts.
+//!
+//! Fusion happens here, at lowering time: whole subscript chains with
 //! side-effect-free subscripts become one [`RInsn::Nav`]; a loop's
 //! `i < N` condition becomes [`RInsn::CmpBr`] carrying the merged fuel
 //! and the fall-through iteration charge; a loop's `i += 1` step plus
 //! back edge becomes [`RInsn::StepJump`]. Cycle charges inside
 //! lexically vectorized regions are pre-divided by the vector discount
-//! (see [`Compiler2::eff`]) — the same `cost / w` division the other
-//! engines perform per charge, done once.
+//! (see [`Compiler::eff`]) — the same `cost / w` division the tree
+//! interpreter performs per charge, done once.
 //!
 //! Aliasing discipline: an operand may be a *slot* register, which a
 //! later-evaluated subexpression could mutate through an assignment.
 //! Whenever a slot operand is held across lowering of an expression
 //! that contains any assignment, it is snapshotted into a temporary
-//! first ([`Compiler2::shield`]), preserving the tree's left-to-right
+//! first ([`Compiler::shield`]), preserving the tree's left-to-right
 //! evaluation of the original value. Temporaries are never mutated by
 //! program effects, so they need no shielding.
 
@@ -31,24 +53,21 @@ use std::collections::{HashMap, HashSet};
 use locus_srcir::ast::{BinOp, Expr, Item, Pragma, Program, Stmt, StmtKind, Type, UnOp};
 
 use crate::bytecode::{
-    advance_base, array_init_data, ArrayCell, ArrayId, Builtin, CastKind, Chain, SlotId, ThrowKind,
-};
-use crate::bytecode2::{
-    AllocDesc, DimStep, Exe2, HotLoopDesc, NavDesc, Opnd, RInsn, RTail, RegId, SubIdx, MAX_NAV_DIMS,
+    advance_base, array_init_data, AllocDesc, ArrayCell, ArrayId, Builtin, CastKind, Chain,
+    DimStep, Exe, HotLoopDesc, NavDesc, Opnd, RInsn, RTail, RegId, SlotId, SubIdx, ThrowKind,
+    MAX_NAV_DIMS,
 };
 use crate::interp::{apply_bin, collect_auto_vectorizable, RuntimeError, Value};
 use crate::MachineConfig;
 
 /// Lowers `program` for running `entry`, mirroring the setup work and
-/// setup-time errors of `Interp::new` + `Interp::run` (and of
-/// [`crate::compile`]'s `compile`, which this pass shadows insn for
-/// insn in fuel/charge/error order).
-pub(crate) fn compile2(
+/// setup-time errors of `Interp::new` + `Interp::run`.
+pub(crate) fn compile(
     program: &Program,
     config: &MachineConfig,
     entry: &str,
-) -> Result<Exe2, RuntimeError> {
-    let mut c = Compiler2::new(config);
+) -> Result<Exe, RuntimeError> {
+    let mut c = Compiler::new(config);
     for item in &program.items {
         if let Item::Global(stmt) = item {
             c.compile_global(stmt)?;
@@ -188,7 +207,7 @@ struct Costs {
     loop_entry: f64,
 }
 
-struct Compiler2<'p> {
+struct Compiler<'p> {
     config: &'p MachineConfig,
     k: Costs,
     /// Vector-discount divisor (pure function of config).
@@ -196,7 +215,9 @@ struct Compiler2<'p> {
     /// Lexical vectorized-loop nesting depth at the emission point.
     vec_depth: usize,
     code: Vec<RInsn>,
-    /// Fuel ticks not yet materialized (see [`crate::compile`]).
+    /// Fuel ticks not yet materialized: adjacent ticks merge into one
+    /// [`RInsn::Fuel`], flushed before anything that can error or
+    /// branch (see [`Compiler::needs_fuel_flush`]).
     fuel_pending: u32,
     scopes: Vec<HashMap<String, Vec<Binding>>>,
     n_slots: u32,
@@ -219,9 +240,9 @@ struct Compiler2<'p> {
     next_base: u64,
 }
 
-impl<'p> Compiler2<'p> {
-    fn new(config: &'p MachineConfig) -> Compiler2<'p> {
-        Compiler2 {
+impl<'p> Compiler<'p> {
+    fn new(config: &'p MachineConfig) -> Compiler<'p> {
+        Compiler {
             config,
             k: Costs {
                 add: config.cost.add,
@@ -257,10 +278,10 @@ impl<'p> Compiler2<'p> {
         }
     }
 
-    fn finish(mut self) -> Exe2 {
+    fn finish(mut self) -> Exe {
         debug_assert_eq!(self.fuel_pending, 0, "Halt flushes pending fuel");
         let hotloops = fuse_hot_loops(&mut self.code);
-        Exe2 {
+        Exe {
             code: self.code,
             hotloops,
             n_regs: self.high_water as usize,
@@ -290,11 +311,12 @@ impl<'p> Compiler2<'p> {
 
     // ---- emission -------------------------------------------------------
 
-    /// Whether pending fuel must materialize before `insn` — same rule
-    /// as the stack compiler: a tick may only drift across instructions
-    /// that cannot raise a different error first and cannot be jumped
-    /// over/to. `CmpBr`/`StepJump`/`Nav` never appear here: they fold
-    /// the pending ticks into their own leading `fuel` field.
+    /// Whether pending fuel must materialize before `insn`: the tree
+    /// interpreter's fuel check can fire *between* any two operations,
+    /// so a tick may only drift across instructions that cannot raise a
+    /// different error first and cannot be jumped over/to.
+    /// `CmpBr`/`StepJump`/`Nav` never appear here: they fold the
+    /// pending ticks into their own leading `fuel` field.
     fn needs_fuel_flush(insn: &RInsn) -> bool {
         match insn {
             RInsn::Jump(_)
@@ -427,7 +449,10 @@ impl<'p> Compiler2<'p> {
         s
     }
 
-    /// Binds a scalar declaration (see [`crate::compile`]).
+    /// Binds a scalar declaration. `conditional` marks a bare decl in
+    /// branch position (execution not guaranteed within its scope).
+    /// Returns the value slot and, for fresh conditional bindings, the
+    /// flag slot the declaration must set.
     fn bind_scalar(&mut self, name: &str, conditional: bool) -> (SlotId, Option<SlotId>) {
         if conditional {
             if let Some(vec) = self.scopes.last().expect("scope").get(name) {
@@ -724,8 +749,9 @@ impl<'p> Compiler2<'p> {
         let par = omp.is_some() && self.config.cores > 1;
 
         self.push_scope();
-        // Entry charge and init run at the *outer* vector depth (the
-        // stack compiler emits them before VecEnter).
+        // Entry charge and init run at the *outer* vector depth, as in
+        // the tree, which charges them before entering the vector
+        // region.
         let entry = self.eff(self.k.loop_entry);
         self.emit(RInsn::Charge(entry));
         if let Some(init) = &f.init {
@@ -1552,11 +1578,11 @@ fn cast_kind(ty: &Type) -> CastKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode2::RInsn;
+    use crate::bytecode::RInsn;
 
-    fn compile_src(src: &str) -> Exe2 {
+    fn compile_src(src: &str) -> Exe {
         let program = locus_srcir::parse_program(src).expect("parses");
-        compile2(&program, &crate::MachineConfig::scaled_small(), "kernel").expect("compiles")
+        compile(&program, &crate::MachineConfig::scaled_small(), "kernel").expect("compiles")
     }
 
     /// The raw-speed contract of the register tier on its hottest

@@ -1,17 +1,21 @@
-//! Stack VM for the compiled execution engine.
+//! Register VM for the compiled execution engine.
 //!
 //! Executes [`crate::bytecode::Exe`] while charging the exact cost,
 //! cache, OpenMP and vectorizer model of the tree interpreter: every
 //! fuel tick, cycle charge, cache access and flop increment happens in
 //! the same order with the same values, so `Measurement`s are
-//! bit-identical (including the f64 `cycles` accumulator, which is
-//! sensitive to addition order). `tests/vm_equivalence.rs` holds the
-//! two engines to that contract.
+//! bit-identical across both engines (the f64 `cycles`
+//! accumulator is sensitive to addition order, so charges are never
+//! merged — only pre-divided by the lexical vector discount at
+//! lowering, which removes the `vector_depth` branch from this loop
+//! entirely). `tests/vm_equivalence.rs` holds the engines to the
+//! contract, with the tree interpreter as the oracle.
 
 use locus_srcir::ast::{BinOp, OmpSchedule};
 
 use crate::bytecode::{
-    advance_base, array_init_data, AccessTail, ArrayCell, Builtin, CastKind, Exe, Insn, ThrowKind,
+    advance_base, array_init_data, ArrayCell, Builtin, CastKind, Exe, HotLoopDesc, NavDesc, Opnd,
+    RInsn, RTail, SubIdx, ThrowKind,
 };
 use crate::cache::CacheHierarchy;
 use crate::cost::OmpModel;
@@ -28,7 +32,7 @@ struct ParCtx {
     iter_costs: Vec<f64>,
 }
 
-/// Executes a compiled program. The caller supplies the (already
+/// Executes a lowered program. The caller supplies the (already
 /// validated) cache hierarchy so configuration errors surface before
 /// compilation, in the same order as `Interp::new`.
 pub(crate) fn run(
@@ -36,25 +40,18 @@ pub(crate) fn run(
     config: &MachineConfig,
     cache: CacheHierarchy,
 ) -> Result<Measurement, RuntimeError> {
-    let mut slots = vec![Value::Int(0); exe.n_slots];
-    slots[..exe.global_values.len()].copy_from_slice(&exe.global_values);
+    let mut regs = vec![Value::Int(0); exe.n_regs];
+    regs[..exe.global_values.len()].copy_from_slice(&exe.global_values);
     let mut vm = Vm {
         exe,
         config,
-        w: config
-            .cost
-            .vector_discount
-            .min(config.vector_width as f64)
-            .max(1.0),
-        slots,
+        regs,
         arrays: exe.arrays.clone(),
         next_base: exe.next_base,
         cache,
-        stack: Vec::with_capacity(32),
         cycles: 0.0,
         ops: 0,
         flops: 0,
-        vector_depth: 0,
         in_parallel: false,
         par_stack: Vec::new(),
     };
@@ -65,289 +62,520 @@ pub(crate) fn run(
 struct Vm<'a> {
     exe: &'a Exe,
     config: &'a MachineConfig,
-    /// Precomputed vector discount divisor (pure function of config).
-    w: f64,
-    slots: Vec<Value>,
+    regs: Vec<Value>,
     arrays: Vec<Option<ArrayCell>>,
     next_base: u64,
     cache: CacheHierarchy,
-    stack: Vec<Value>,
     cycles: f64,
     ops: u64,
     flops: u64,
-    vector_depth: usize,
     in_parallel: bool,
     par_stack: Vec<ParCtx>,
 }
 
+/// Fast path for the error-free binary ops that dominate hot loops:
+/// integer compares and wrapping integer add/sub (loop conditions and
+/// induction steps), and double add/sub/mul (stencil arithmetic).
+/// Returns `None` for everything else — including mixed-type operands
+/// and any op that can fail — which falls back to [`apply_bin`].
+/// Results are identical to `apply_bin`'s for every covered case.
+#[inline(always)]
+fn bin_fast(op: BinOp, l: Value, r: Value) -> Option<Value> {
+    use Value::{Double, Int};
+    match (l, r) {
+        (Int(a), Int(b)) => Some(match op {
+            BinOp::Add => Int(a.wrapping_add(b)),
+            BinOp::Sub => Int(a.wrapping_sub(b)),
+            BinOp::Mul => Int(a.wrapping_mul(b)),
+            BinOp::Lt => Int(i64::from(a < b)),
+            BinOp::Le => Int(i64::from(a <= b)),
+            BinOp::Gt => Int(i64::from(a > b)),
+            BinOp::Ge => Int(i64::from(a >= b)),
+            BinOp::Eq => Int(i64::from(a == b)),
+            BinOp::Ne => Int(i64::from(a != b)),
+            _ => return None,
+        }),
+        (Double(a), Double(b)) => Some(match op {
+            BinOp::Add => Double(a + b),
+            BinOp::Sub => Double(a - b),
+            BinOp::Mul => Double(a * b),
+            BinOp::Div => Double(a / b),
+            BinOp::Lt => Int(i64::from(a < b)),
+            BinOp::Le => Int(i64::from(a <= b)),
+            BinOp::Gt => Int(i64::from(a > b)),
+            BinOp::Ge => Int(i64::from(a >= b)),
+            BinOp::Eq => Int(i64::from(a == b)),
+            BinOp::Ne => Int(i64::from(a != b)),
+            _ => return None,
+        }),
+        _ => None,
+    }
+}
+
+/// [`bin_fast`] with the [`apply_bin`] fallback folded in.
+#[inline(always)]
+fn bin_any(op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeError> {
+    match bin_fast(op, l, r) {
+        Some(v) => Ok(v),
+        None => apply_bin(op, l, r),
+    }
+}
+
 impl Vm<'_> {
+    #[inline]
+    fn val(&self, o: Opnd) -> Value {
+        match o {
+            Opnd::Reg(r) => self.regs[r as usize],
+            Opnd::ImmI(v) => Value::Int(v),
+            Opnd::ImmF(v) => Value::Double(v),
+        }
+    }
+
+    #[inline]
+    fn fuel(&mut self, n: u32) -> Result<(), RuntimeError> {
+        self.ops += u64::from(n);
+        if self.ops > self.config.max_ops {
+            return Err(RuntimeError::FuelExhausted);
+        }
+        Ok(())
+    }
+
+    // ---- shared instruction bodies --------------------------------------
+    // Used verbatim by both the main dispatcher and the fused hot-loop
+    // runner, so the two paths cannot drift apart.
+
+    #[inline(always)]
+    fn do_bin(
+        &mut self,
+        op: BinOp,
+        cost: f64,
+        dst: u32,
+        a: Opnd,
+        b: Opnd,
+    ) -> Result<(), RuntimeError> {
+        let l = self.val(a);
+        let r = self.val(b);
+        self.cycles += cost;
+        if matches!(l, Value::Double(_)) || matches!(r, Value::Double(_)) {
+            self.flops += 1;
+        }
+        self.regs[dst as usize] = bin_any(op, l, r)?;
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn do_compound_set(
+        &mut self,
+        op: BinOp,
+        cost: f64,
+        slot: u32,
+        rhs: Opnd,
+    ) -> Result<(), RuntimeError> {
+        let old = self.regs[slot as usize];
+        let r = self.val(rhs);
+        self.cycles += cost;
+        if matches!(old, Value::Double(_)) {
+            self.flops += 1;
+        }
+        let v = bin_any(op, old, r)?;
+        self.write_slot(slot as usize, v);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn do_compound_set_val(
+        &mut self,
+        op: BinOp,
+        cost: f64,
+        slot: u32,
+        rhs: Opnd,
+        dst: u32,
+    ) -> Result<(), RuntimeError> {
+        let old = self.regs[slot as usize];
+        let r = self.val(rhs);
+        self.cycles += cost;
+        if matches!(old, Value::Double(_)) {
+            self.flops += 1;
+        }
+        let v = bin_any(op, old, r)?;
+        self.regs[dst as usize] = v;
+        self.write_slot(slot as usize, v);
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn do_compound_tmp(
+        &mut self,
+        op: BinOp,
+        cost: f64,
+        dst: u32,
+        old: Opnd,
+        rhs: Opnd,
+    ) -> Result<(), RuntimeError> {
+        let o = self.val(old);
+        let r = self.val(rhs);
+        self.cycles += cost;
+        if matches!(o, Value::Double(_)) {
+            self.flops += 1;
+        }
+        self.regs[dst as usize] = bin_any(op, o, r)?;
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn do_neg(&mut self, cost: f64, dst: u32, src: Opnd) {
+        let v = self.val(src);
+        self.cycles += cost;
+        if matches!(v, Value::Double(_)) {
+            self.flops += 1;
+        }
+        self.regs[dst as usize] = match v {
+            Value::Int(x) => Value::Int(-x),
+            Value::Double(x) => Value::Double(-x),
+        };
+    }
+
+    #[inline(always)]
+    fn do_not(&mut self, cost: f64, dst: u32, src: Opnd) {
+        let v = self.val(src);
+        self.cycles += cost;
+        self.regs[dst as usize] = Value::Int(i64::from(!v.truthy()));
+    }
+
+    #[inline(always)]
+    fn do_cast(&mut self, kind: CastKind, cost: f64, dst: u32, src: Opnd) {
+        let v = self.val(src);
+        self.cycles += cost;
+        self.regs[dst as usize] = match kind {
+            CastKind::ToFloat => Value::Double(v.as_f64()),
+            CastKind::ToInt => Value::Int(v.as_i64()),
+            CastKind::Keep => v,
+        };
+    }
+
+    #[inline(always)]
+    fn do_decl_slot(&mut self, slot: u32, kind: CastKind, src: Opnd) {
+        let v = self.val(src);
+        self.regs[slot as usize] = match kind {
+            CastKind::ToFloat => Value::Double(v.as_f64()),
+            CastKind::ToInt => Value::Int(v.as_i64()),
+            CastKind::Keep => v,
+        };
+    }
+
+    #[inline(always)]
+    fn do_call1(&mut self, f: Builtin, cost: f64, div_cost: f64, dst: u32, a: Opnd) {
+        self.cycles += cost;
+        let a = self.val(a);
+        self.regs[dst as usize] = match f {
+            Builtin::Abs => match a {
+                Value::Int(v) => Value::Int(v.abs()),
+                Value::Double(v) => Value::Double(v.abs()),
+            },
+            Builtin::Sqrt => {
+                self.flops += 1;
+                self.cycles += div_cost;
+                Value::Double(a.as_f64().sqrt())
+            }
+            Builtin::Floor => Value::Double(a.as_f64().floor()),
+            Builtin::Ceil => Value::Double(a.as_f64().ceil()),
+            Builtin::Min | Builtin::Max => {
+                unreachable!("two-argument builtins lower to Call2")
+            }
+        };
+    }
+
+    #[inline(always)]
+    fn do_call2(&mut self, f: Builtin, cost: f64, dst: u32, a: Opnd, b: Opnd) {
+        self.cycles += cost;
+        let a = self.val(a);
+        let b = self.val(b);
+        self.regs[dst as usize] = match f {
+            Builtin::Min => num_binop(a, b, i64::min, f64::min),
+            Builtin::Max => num_binop(a, b, i64::max, f64::max),
+            _ => unreachable!("one-argument builtins lower to Call1"),
+        };
+    }
+
+    #[inline(always)]
+    fn do_array_check(&mut self, id: u32, subs: u32) -> Result<(), RuntimeError> {
+        let name = &self.exe.array_names[id as usize];
+        let Some(cell) = &self.arrays[id as usize] else {
+            return Err(RuntimeError::UndefinedVariable(name.clone()));
+        };
+        let ndims = cell.dims.len();
+        if subs as usize != ndims {
+            return Err(RuntimeError::Unsupported(format!(
+                "array `{name}` used with {subs} subscripts but declared with {ndims}"
+            )));
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn do_idx_dim(
+        &mut self,
+        id: u32,
+        dim: u32,
+        first: bool,
+        cost: f64,
+        idx: Opnd,
+        acc: u32,
+    ) -> Result<(), RuntimeError> {
+        let idx = self.val(idx).as_i64();
+        let cell = self.arrays[id as usize]
+            .as_ref()
+            .expect("ArrayCheck precedes IdxDim");
+        let extent = cell.dims[dim as usize];
+        if idx < 0 || idx >= extent as i64 {
+            return Err(RuntimeError::OutOfBounds {
+                array: self.exe.array_names[id as usize].clone(),
+                index: idx,
+                len: cell.data.len(),
+            });
+        }
+        let flat = if first {
+            idx
+        } else {
+            self.regs[acc as usize].as_i64() * extent as i64 + idx
+        };
+        self.regs[acc as usize] = Value::Int(flat);
+        self.cycles += cost;
+        Ok(())
+    }
+
     fn exec(&mut self) -> Result<(), RuntimeError> {
         // `exe` is a plain `&'a Exe` — reading code through the copy
         // keeps the borrow independent of `&mut self` in the arms.
         let exe = self.exe;
         let mut pc = 0usize;
         loop {
-            let insn = exe.code[pc];
+            // Match through the place so each arm loads only the
+            // fields it names instead of copying the whole `RInsn`.
+            let insn = &exe.code[pc];
             pc += 1;
-            match insn {
-                Insn::Fuel(n) => {
-                    self.ops += u64::from(n);
-                    if self.ops > self.config.max_ops {
-                        return Err(RuntimeError::FuelExhausted);
-                    }
-                }
-                Insn::PushInt(v) => self.stack.push(Value::Int(v)),
-                Insn::PushFloat(v) => self.stack.push(Value::Double(v)),
-                Insn::Pop => {
-                    self.pop();
-                }
-                Insn::Dup => {
-                    let v = *self.stack.last().expect("Dup on empty stack");
-                    self.stack.push(v);
-                }
-                Insn::Jump(t) => pc = t as usize,
-                Insn::JumpIfFalse(t) => {
-                    if !self.pop().truthy() {
+            match *insn {
+                RInsn::Fuel(n) => self.fuel(n)?,
+                RInsn::Jump(t) => pc = t as usize,
+                RInsn::BrFalsy { src, t } => {
+                    if !self.val(src).truthy() {
                         pc = t as usize;
                     }
                 }
-                Insn::LoadSlot(s) => self.stack.push(self.slots[s as usize]),
-                Insn::StoreSlot(s) => {
-                    let v = self.pop();
-                    self.write_slot(s as usize, v);
+                RInsn::CmpBr {
+                    fuel,
+                    op,
+                    cost,
+                    a,
+                    b,
+                    post,
+                    t,
+                    pcost,
+                } => {
+                    if fuel > 0 {
+                        self.fuel(fuel)?;
+                    }
+                    let l = self.val(a);
+                    let r = self.val(b);
+                    self.cycles += cost;
+                    if matches!(l, Value::Double(_)) || matches!(r, Value::Double(_)) {
+                        self.flops += 1;
+                    }
+                    let v = bin_any(op, l, r)?;
+                    if post != 0.0 {
+                        self.cycles += post;
+                    }
+                    if !v.truthy() {
+                        pc = t as usize;
+                    } else if pcost != 0.0 {
+                        self.cycles += pcost;
+                    }
                 }
-                Insn::LoadChain(i) => {
-                    let slot = self.resolve_chain(i)?;
-                    self.stack.push(self.slots[slot]);
+                RInsn::StepJump {
+                    fuel,
+                    op,
+                    cost,
+                    slot,
+                    rhs,
+                    t,
+                } => {
+                    if fuel > 0 {
+                        self.fuel(fuel)?;
+                    }
+                    let old = self.regs[slot as usize];
+                    let r = self.val(rhs);
+                    self.cycles += cost;
+                    if matches!(old, Value::Double(_)) {
+                        self.flops += 1;
+                    }
+                    let v = bin_any(op, old, r)?;
+                    self.write_slot(slot as usize, v);
+                    pc = t as usize;
                 }
-                Insn::StoreChain(i) => {
-                    let slot = self.resolve_chain(i)?;
-                    let v = self.pop();
+                RInsn::Mov { dst, src } => self.regs[dst as usize] = self.val(src),
+                RInsn::SetSlot { slot, src } => {
+                    let v = self.val(src);
+                    self.write_slot(slot as usize, v);
+                }
+                RInsn::LoadChain { chain, dst } => {
+                    let slot = self.resolve_chain(chain)?;
+                    self.regs[dst as usize] = self.regs[slot];
+                }
+                RInsn::StoreChain { chain, src } => {
+                    let slot = self.resolve_chain(chain)?;
+                    let v = self.val(src);
                     self.write_slot(slot, v);
                 }
-                Insn::DeclSlot(s, kind) => {
-                    let v = self.pop();
-                    self.slots[s as usize] = match kind {
-                        CastKind::ToFloat => Value::Double(v.as_f64()),
-                        CastKind::ToInt => Value::Int(v.as_i64()),
-                        CastKind::Keep => v,
-                    };
-                }
-                Insn::DeclDefault(s, is_float) => {
-                    self.slots[s as usize] = if is_float {
+                RInsn::DeclSlot { slot, kind, src } => self.do_decl_slot(slot, kind, src),
+                RInsn::DeclDefault { slot, is_float } => {
+                    self.regs[slot as usize] = if is_float {
                         Value::Double(0.0)
                     } else {
                         Value::Int(0)
                     };
                 }
-                Insn::Charge(c) => self.charge(c),
-                Insn::Neg(cost) => {
-                    let v = self.pop();
-                    self.charge(cost);
-                    if matches!(v, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    self.stack.push(match v {
-                        Value::Int(x) => Value::Int(-x),
-                        Value::Double(x) => Value::Double(-x),
-                    });
+                RInsn::Charge(c) => self.cycles += c,
+                RInsn::Neg { cost, dst, src } => self.do_neg(cost, dst, src),
+                RInsn::Not { cost, dst, src } => self.do_not(cost, dst, src),
+                RInsn::Bin {
+                    op,
+                    cost,
+                    dst,
+                    a,
+                    b,
+                } => self.do_bin(op, cost, dst, a, b)?,
+                RInsn::CompoundSet {
+                    op,
+                    cost,
+                    slot,
+                    rhs,
+                } => self.do_compound_set(op, cost, slot, rhs)?,
+                RInsn::CompoundSetVal {
+                    op,
+                    cost,
+                    slot,
+                    rhs,
+                    dst,
+                } => self.do_compound_set_val(op, cost, slot, rhs, dst)?,
+                RInsn::CompoundTmp {
+                    op,
+                    cost,
+                    dst,
+                    old,
+                    rhs,
+                } => self.do_compound_tmp(op, cost, dst, old, rhs)?,
+                RInsn::Truthy { dst, src } => {
+                    let v = self.val(src);
+                    self.regs[dst as usize] = Value::Int(i64::from(v.truthy()));
                 }
-                Insn::Not(cost) => {
-                    let v = self.pop();
-                    self.charge(cost);
-                    self.stack.push(Value::Int(i64::from(!v.truthy())));
-                }
-                Insn::Bin(op, cost) => {
-                    let r = self.pop();
-                    let l = self.pop();
-                    self.charge(cost);
-                    if matches!(l, Value::Double(_)) || matches!(r, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let v = apply_bin(op, l, r)?;
-                    self.stack.push(v);
-                }
-                Insn::CompoundBin(op, cost) => {
-                    let old = self.pop();
-                    let rhs = self.pop();
-                    self.charge(cost);
-                    if matches!(old, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let v = apply_bin(op, old, rhs)?;
-                    self.stack.push(v);
-                }
-                Insn::Truthy => {
-                    let v = self.pop();
-                    self.stack.push(Value::Int(i64::from(v.truthy())));
-                }
-                Insn::AndShortCircuit(t) => {
-                    if !self.pop().truthy() {
-                        self.stack.push(Value::Int(0));
+                RInsn::AndSC { src, dst, t } => {
+                    if !self.val(src).truthy() {
+                        self.regs[dst as usize] = Value::Int(0);
                         pc = t as usize;
                     }
                 }
-                Insn::OrShortCircuit(t) => {
-                    if self.pop().truthy() {
-                        self.stack.push(Value::Int(1));
+                RInsn::OrSC { src, dst, t } => {
+                    if self.val(src).truthy() {
+                        self.regs[dst as usize] = Value::Int(1);
                         pc = t as usize;
                     }
                 }
-                Insn::Cast(kind, cost) => {
-                    let v = self.pop();
-                    self.charge(cost);
-                    self.stack.push(match kind {
-                        CastKind::ToFloat => Value::Double(v.as_f64()),
-                        CastKind::ToInt => Value::Int(v.as_i64()),
-                        CastKind::Keep => v,
-                    });
-                }
-                Insn::Call(f, cost) => {
-                    self.charge(cost);
-                    let v = match f {
-                        Builtin::Min => {
-                            let b = self.pop();
-                            let a = self.pop();
-                            num_binop(a, b, i64::min, f64::min)
-                        }
-                        Builtin::Max => {
-                            let b = self.pop();
-                            let a = self.pop();
-                            num_binop(a, b, i64::max, f64::max)
-                        }
-                        Builtin::Abs => match self.pop() {
-                            Value::Int(v) => Value::Int(v.abs()),
-                            Value::Double(v) => Value::Double(v.abs()),
-                        },
-                        Builtin::Sqrt => {
-                            let a = self.pop();
-                            self.flops += 1;
-                            self.charge(self.config.cost.div);
-                            Value::Double(a.as_f64().sqrt())
-                        }
-                        Builtin::Floor => Value::Double(self.pop().as_f64().floor()),
-                        Builtin::Ceil => Value::Double(self.pop().as_f64().ceil()),
-                    };
-                    self.stack.push(v);
-                }
-                Insn::ArrayCheck(id, subs) => {
-                    let name = &self.exe.array_names[id as usize];
-                    let Some(cell) = &self.arrays[id as usize] else {
-                        return Err(RuntimeError::UndefinedVariable(name.clone()));
-                    };
-                    let ndims = cell.dims.len();
-                    if subs as usize != ndims {
-                        return Err(RuntimeError::Unsupported(format!(
-                            "array `{name}` used with {subs} subscripts but declared with {ndims}"
-                        )));
-                    }
-                }
-                Insn::IndexDim {
+                RInsn::Cast {
+                    kind,
+                    cost,
+                    dst,
+                    src,
+                } => self.do_cast(kind, cost, dst, src),
+                RInsn::Call1 {
+                    f,
+                    cost,
+                    div_cost,
+                    dst,
+                    a,
+                } => self.do_call1(f, cost, div_cost, dst, a),
+                RInsn::Call2 { f, cost, dst, a, b } => self.do_call2(f, cost, dst, a, b),
+                RInsn::ArrayCheck { id, subs } => self.do_array_check(id, subs)?,
+                RInsn::IdxDim {
                     id,
                     dim,
                     first,
                     cost,
-                } => {
-                    let idx = self.pop().as_i64();
-                    let cell = self.arrays[id as usize]
-                        .as_ref()
-                        .expect("ArrayCheck precedes IndexDim");
-                    let extent = cell.dims[dim as usize];
-                    if idx < 0 || idx >= extent as i64 {
-                        return Err(RuntimeError::OutOfBounds {
-                            array: self.exe.array_names[id as usize].clone(),
-                            index: idx,
-                            len: cell.data.len(),
-                        });
-                    }
-                    let flat = if first {
-                        idx
-                    } else {
-                        self.pop().as_i64() * extent as i64 + idx
-                    };
-                    self.stack.push(Value::Int(flat));
-                    self.charge(cost);
+                    idx,
+                    acc,
+                } => self.do_idx_dim(id, dim, first, cost, idx, acc)?,
+                RInsn::Nav(n) => {
+                    let d = &exe.navs[n as usize];
+                    self.run_nav(d)?;
                 }
-                Insn::LoadArray(id) => self.load_array(id),
-                Insn::StoreArray(id) => {
-                    let flat = self.pop().as_i64() as usize;
-                    let value = self.pop();
-                    let cell = self.arrays[id as usize]
-                        .as_mut()
-                        .expect("ArrayCheck precedes StoreArray");
-                    let addr = cell.base + flat as u64 * 8;
-                    cell.data[flat] = if cell.is_float {
-                        value.as_f64()
-                    } else {
-                        value.as_i64() as f64
-                    };
-                    let (_, latency) = self.cache.access(addr);
-                    self.cycles += latency as f64;
-                    self.stack.push(value);
+                RInsn::HotLoop(h) => {
+                    let d = &exe.hotloops[h as usize];
+                    self.run_hot_loop(d)?;
+                    pc = d.exit as usize;
                 }
-                Insn::RmwArray(id, op, cost) => {
-                    let flat = self.pop().as_i64() as usize;
-                    let rhs = self.pop();
-                    let cell = self.arrays[id as usize]
-                        .as_ref()
-                        .expect("ArrayCheck precedes RmwArray");
-                    let addr = cell.base + flat as u64 * 8;
-                    let is_float = cell.is_float;
-                    let raw = cell.data[flat];
-                    let (_, latency) = self.cache.access(addr);
-                    self.cycles += latency as f64;
-                    let old = if is_float {
-                        Value::Double(raw)
-                    } else {
-                        Value::Int(raw as i64)
-                    };
-                    self.charge(cost);
-                    if matches!(old, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let new = apply_bin(op, old, rhs)?;
-                    let cell = self.arrays[id as usize].as_mut().expect("cell read above");
-                    cell.data[flat] = if is_float {
-                        new.as_f64()
-                    } else {
-                        new.as_i64() as f64
-                    };
-                    let (_, latency) = self.cache.access(addr);
-                    self.cycles += latency as f64;
-                    self.stack.push(new);
-                }
-                Insn::DimCheck(id) => {
-                    let v = *self.stack.last().expect("DimCheck peeks a dimension");
-                    if v.as_i64() <= 0 {
+                RInsn::DimCheck { id, v } => {
+                    if self.val(v).as_i64() <= 0 {
                         return Err(RuntimeError::BadArrayDim(
-                            self.exe.array_names[id as usize].clone(),
+                            exe.array_names[id as usize].clone(),
                         ));
                     }
                 }
-                Insn::AllocArray { id, dims, is_float } => {
-                    let n = dims as usize;
-                    let at = self.stack.len() - n;
-                    let mut dim_sizes = Vec::with_capacity(n);
-                    for v in self.stack.drain(at..) {
-                        dim_sizes.push(v.as_i64() as usize);
-                    }
+                RInsn::AllocArray(a) => {
+                    let desc = &exe.allocs[a as usize];
+                    let dim_sizes: Vec<usize> = desc
+                        .dims
+                        .iter()
+                        .map(|&o| self.val(o).as_i64() as usize)
+                        .collect();
                     let len = crate::bytecode::checked_alloc_len(
-                        &self.exe.array_names[id as usize],
+                        &exe.array_names[desc.id as usize],
                         &dim_sizes,
                     )?;
                     let base = self.next_base;
                     self.next_base = advance_base(self.next_base, len);
-                    self.arrays[id as usize] = Some(ArrayCell {
-                        is_float,
-                        data: array_init_data(len, is_float),
+                    self.arrays[desc.id as usize] = Some(ArrayCell {
+                        is_float: desc.is_float,
+                        data: array_init_data(len, desc.is_float),
                         base,
                         dims: dim_sizes,
                         local: true,
                     });
                 }
-                Insn::VecEnter => self.vector_depth += 1,
-                Insn::VecLeave => self.vector_depth -= 1,
-                Insn::ParEnter(schedule) => {
+                RInsn::LoadA { id, acc, dst } => {
+                    let flat = self.regs[acc as usize].as_i64() as usize;
+                    self.elem_load(id, flat, dst);
+                }
+                RInsn::StoreA { id, acc, val } => {
+                    let flat = self.regs[acc as usize].as_i64() as usize;
+                    let v = self.val(val);
+                    self.elem_store(id, flat, v);
+                }
+                RInsn::RmwA {
+                    op,
+                    cost,
+                    id,
+                    acc,
+                    rhs,
+                    dst,
+                } => {
+                    let flat = self.regs[acc as usize].as_i64() as usize;
+                    let r = self.val(rhs);
+                    let v = self.elem_rmw(id, flat, op, cost, r)?;
+                    self.regs[dst as usize] = v;
+                }
+                RInsn::LoadABin {
+                    op,
+                    cost,
+                    id,
+                    acc,
+                    lhs,
+                    dst,
+                } => {
+                    let flat = self.regs[acc as usize].as_i64() as usize;
+                    let l = self.val(lhs);
+                    let v = self.elem_load_bin(id, flat, op, cost, l)?;
+                    self.regs[dst as usize] = v;
+                }
+                RInsn::ParEnter(schedule) => {
                     let active = !self.in_parallel;
                     if active {
                         self.in_parallel = true;
@@ -359,7 +587,7 @@ impl Vm<'_> {
                         iter_costs: Vec::new(),
                     });
                 }
-                Insn::IterStart => {
+                RInsn::IterStart => {
                     let cycles = self.cycles;
                     if let Some(ctx) = self.par_stack.last_mut() {
                         if ctx.active {
@@ -367,7 +595,7 @@ impl Vm<'_> {
                         }
                     }
                 }
-                Insn::IterEnd => {
+                RInsn::IterEnd => {
                     let cycles = self.cycles;
                     if let Some(ctx) = self.par_stack.last_mut() {
                         if ctx.active {
@@ -376,475 +604,22 @@ impl Vm<'_> {
                         }
                     }
                 }
-                Insn::ParExit => {
+                RInsn::ParExit => {
                     let ctx = self.par_stack.pop().expect("ParEnter precedes ParExit");
                     self.finish_parallel(ctx);
                 }
-                Insn::Throw(kind, msg) => {
-                    let msg = self.exe.messages[msg as usize].clone();
+                RInsn::Throw(kind, msg) => {
+                    let msg = exe.messages[msg as usize].clone();
                     return Err(match kind {
                         ThrowKind::UndefinedVariable => RuntimeError::UndefinedVariable(msg),
                         ThrowKind::UndefinedFunction => RuntimeError::UndefinedFunction(msg),
                         ThrowKind::Unsupported => RuntimeError::Unsupported(msg),
                     });
                 }
-                // Fused superinstructions: each arm is the literal
-                // composition of its constituent arms — same charge,
-                // flop and error order (see `crate::peephole`).
-                Insn::BinInt(op, cost, r) => {
-                    let l = self.pop();
-                    self.charge(cost);
-                    if matches!(l, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let v = apply_bin(op, l, Value::Int(r))?;
-                    self.stack.push(v);
-                }
-                Insn::BinFloat(op, cost, r) => {
-                    let l = self.pop();
-                    self.charge(cost);
-                    self.flops += 1;
-                    let v = apply_bin(op, l, Value::Double(r))?;
-                    self.stack.push(v);
-                }
-                Insn::BinSlotR(op, cost, s) => {
-                    let r = self.slots[s as usize];
-                    let l = self.pop();
-                    self.charge(cost);
-                    if matches!(l, Value::Double(_)) || matches!(r, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let v = apply_bin(op, l, r)?;
-                    self.stack.push(v);
-                }
-                Insn::BinSlotInt(op, cost, s, r) => {
-                    let l = self.slots[s as usize];
-                    self.charge(cost);
-                    if matches!(l, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let v = apply_bin(op, l, Value::Int(r))?;
-                    self.stack.push(v);
-                }
-                Insn::BinBr(op, cost, t) => {
-                    let r = self.pop();
-                    let l = self.pop();
-                    self.charge(cost);
-                    if matches!(l, Value::Double(_)) || matches!(r, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    if !apply_bin(op, l, r)?.truthy() {
-                        pc = t as usize;
-                    }
-                }
-                Insn::BinIntBr(op, cost, r, t) => {
-                    let l = self.pop();
-                    self.charge(cost);
-                    if matches!(l, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    if !apply_bin(op, l, Value::Int(r))?.truthy() {
-                        pc = t as usize;
-                    }
-                }
-                Insn::BinSlotIntBr {
-                    fuel,
-                    op,
-                    cost,
-                    s,
-                    rhs,
-                    t,
-                    pfuel,
-                    pcost,
-                } => {
-                    if fuel > 0 {
-                        self.ops += u64::from(fuel);
-                        if self.ops > self.config.max_ops {
-                            return Err(RuntimeError::FuelExhausted);
-                        }
-                    }
-                    let l = self.slots[s as usize];
-                    self.charge(cost);
-                    if matches!(l, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    if !apply_bin(op, l, Value::Int(rhs))?.truthy() {
-                        pc = t as usize;
-                    } else {
-                        // Fall-through prologue absorbed from the loop
-                        // body's leading fuel and charge.
-                        if pfuel > 0 {
-                            self.ops += u64::from(pfuel);
-                            if self.ops > self.config.max_ops {
-                                return Err(RuntimeError::FuelExhausted);
-                            }
-                        }
-                        if pcost != 0.0 {
-                            self.charge(pcost);
-                        }
-                    }
-                }
-                Insn::CompoundSlot(op, cost, s) => {
-                    let old = self.slots[s as usize];
-                    let rhs = self.pop();
-                    self.charge(cost);
-                    if matches!(old, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let v = apply_bin(op, old, rhs)?;
-                    self.stack.push(v);
-                }
-                Insn::CompoundSlotInt(op, cost, s, rhs) => {
-                    let old = self.slots[s as usize];
-                    self.charge(cost);
-                    if matches!(old, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let v = apply_bin(op, old, Value::Int(rhs))?;
-                    self.stack.push(v);
-                }
-                Insn::CompoundSlotStore(op, cost, s, d) => {
-                    let old = self.slots[s as usize];
-                    let rhs = self.pop();
-                    self.charge(cost);
-                    if matches!(old, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let v = apply_bin(op, old, rhs)?;
-                    self.write_slot(d as usize, v);
-                }
-                Insn::CompoundSlotIntStore(op, cost, s, rhs, d) => {
-                    let old = self.slots[s as usize];
-                    self.charge(cost);
-                    if matches!(old, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let v = apply_bin(op, old, Value::Int(rhs))?;
-                    self.write_slot(d as usize, v);
-                }
-                Insn::CompoundSlotIntStoreJump(op, cost, s, rhs, d, t) => {
-                    let old = self.slots[s as usize];
-                    self.charge(cost);
-                    if matches!(old, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let v = apply_bin(op, old, Value::Int(rhs))?;
-                    self.write_slot(d as usize, v);
-                    pc = t as usize;
-                }
-                Insn::IndexDimSlot {
-                    id,
-                    dim,
-                    first,
-                    cost,
-                    s,
-                    fuel,
-                    tail,
-                } => {
-                    let idx = self.slots[s as usize].as_i64();
-                    let cell = self.arrays[id as usize]
-                        .as_ref()
-                        .expect("validated before IndexDimSlot");
-                    let extent = cell.dims[dim as usize];
-                    if idx < 0 || idx >= extent as i64 {
-                        return Err(RuntimeError::OutOfBounds {
-                            array: self.exe.array_names[id as usize].clone(),
-                            index: idx,
-                            len: cell.data.len(),
-                        });
-                    }
-                    let flat = if first {
-                        idx
-                    } else {
-                        self.pop().as_i64() * extent as i64 + idx
-                    };
-                    self.stack.push(Value::Int(flat));
-                    self.charge(cost);
-                    if fuel > 0 {
-                        self.ops += u64::from(fuel);
-                        if self.ops > self.config.max_ops {
-                            return Err(RuntimeError::FuelExhausted);
-                        }
-                    }
-                    self.run_tail(id, tail)?;
-                }
-                Insn::IndexDimInt {
-                    id,
-                    dim,
-                    first,
-                    cost,
-                    v,
-                    fuel,
-                } => {
-                    let idx = v;
-                    let cell = self.arrays[id as usize]
-                        .as_ref()
-                        .expect("validated before IndexDimInt");
-                    let extent = cell.dims[dim as usize];
-                    if idx < 0 || idx >= extent as i64 {
-                        return Err(RuntimeError::OutOfBounds {
-                            array: self.exe.array_names[id as usize].clone(),
-                            index: idx,
-                            len: cell.data.len(),
-                        });
-                    }
-                    let flat = if first {
-                        idx
-                    } else {
-                        self.pop().as_i64() * extent as i64 + idx
-                    };
-                    self.stack.push(Value::Int(flat));
-                    self.charge(cost);
-                    if fuel > 0 {
-                        self.ops += u64::from(fuel);
-                        if self.ops > self.config.max_ops {
-                            return Err(RuntimeError::FuelExhausted);
-                        }
-                    }
-                }
-                Insn::LoadArrayBin(id, op, cost) => self.load_array_bin(id, op, cost)?,
-                Insn::IndexDimBinSlotInt {
-                    id,
-                    dim,
-                    first,
-                    cost,
-                    op,
-                    bcost,
-                    s,
-                    v,
-                    fuel,
-                    tail,
-                } => {
-                    let l = self.slots[s as usize];
-                    self.charge(bcost);
-                    if matches!(l, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let idx = apply_bin(op, l, Value::Int(v))?.as_i64();
-                    let cell = self.arrays[id as usize]
-                        .as_ref()
-                        .expect("validated before IndexDimBinSlotInt");
-                    let extent = cell.dims[dim as usize];
-                    if idx < 0 || idx >= extent as i64 {
-                        return Err(RuntimeError::OutOfBounds {
-                            array: self.exe.array_names[id as usize].clone(),
-                            index: idx,
-                            len: cell.data.len(),
-                        });
-                    }
-                    let flat = if first {
-                        idx
-                    } else {
-                        self.pop().as_i64() * extent as i64 + idx
-                    };
-                    self.stack.push(Value::Int(flat));
-                    self.charge(cost);
-                    if fuel > 0 {
-                        self.ops += u64::from(fuel);
-                        if self.ops > self.config.max_ops {
-                            return Err(RuntimeError::FuelExhausted);
-                        }
-                    }
-                    self.run_tail(id, tail)?;
-                }
-                Insn::IndexDimBinInt {
-                    id,
-                    dim,
-                    first,
-                    cost,
-                    op,
-                    bcost,
-                    v,
-                    fuel,
-                } => {
-                    let l = self.pop();
-                    self.charge(bcost);
-                    if matches!(l, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let idx = apply_bin(op, l, Value::Int(v))?.as_i64();
-                    let cell = self.arrays[id as usize]
-                        .as_ref()
-                        .expect("validated before IndexDimBinInt");
-                    let extent = cell.dims[dim as usize];
-                    if idx < 0 || idx >= extent as i64 {
-                        return Err(RuntimeError::OutOfBounds {
-                            array: self.exe.array_names[id as usize].clone(),
-                            index: idx,
-                            len: cell.data.len(),
-                        });
-                    }
-                    let flat = if first {
-                        idx
-                    } else {
-                        self.pop().as_i64() * extent as i64 + idx
-                    };
-                    self.stack.push(Value::Int(flat));
-                    self.charge(cost);
-                    if fuel > 0 {
-                        self.ops += u64::from(fuel);
-                        if self.ops > self.config.max_ops {
-                            return Err(RuntimeError::FuelExhausted);
-                        }
-                    }
-                }
-                Insn::Charge2(a, b) => {
-                    self.charge(a);
-                    self.charge(b);
-                }
-                Insn::Index2Slot {
-                    id,
-                    dim,
-                    first,
-                    c0,
-                    s0,
-                    f0,
-                    c1,
-                    s1,
-                    f1,
-                    tail,
-                } => {
-                    let (e0, e1, len) = {
-                        let cell = self.arrays[id as usize]
-                            .as_ref()
-                            .expect("validated before Index2Slot");
-                        (
-                            cell.dims[dim as usize],
-                            cell.dims[dim as usize + 1],
-                            cell.data.len(),
-                        )
-                    };
-                    let idx0 = self.slots[s0 as usize].as_i64();
-                    if idx0 < 0 || idx0 >= e0 as i64 {
-                        return Err(RuntimeError::OutOfBounds {
-                            array: self.exe.array_names[id as usize].clone(),
-                            index: idx0,
-                            len,
-                        });
-                    }
-                    let acc = if first {
-                        idx0
-                    } else {
-                        self.pop().as_i64() * e0 as i64 + idx0
-                    };
-                    self.charge(c0);
-                    if f0 > 0 {
-                        self.ops += u64::from(f0);
-                        if self.ops > self.config.max_ops {
-                            return Err(RuntimeError::FuelExhausted);
-                        }
-                    }
-                    let idx1 = self.slots[s1 as usize].as_i64();
-                    if idx1 < 0 || idx1 >= e1 as i64 {
-                        return Err(RuntimeError::OutOfBounds {
-                            array: self.exe.array_names[id as usize].clone(),
-                            index: idx1,
-                            len,
-                        });
-                    }
-                    self.stack.push(Value::Int(acc * e1 as i64 + idx1));
-                    self.charge(c1);
-                    if f1 > 0 {
-                        self.ops += u64::from(f1);
-                        if self.ops > self.config.max_ops {
-                            return Err(RuntimeError::FuelExhausted);
-                        }
-                    }
-                    self.run_tail(id, tail)?;
-                }
-                Insn::Index3BinSlotInt {
-                    id,
-                    dim,
-                    first,
-                    op,
-                    bcost,
-                    s,
-                    v,
-                    cost,
-                    fuel,
-                    c0,
-                    s0,
-                    f0,
-                    c1,
-                    s1,
-                    f1,
-                    tail,
-                } => {
-                    let (e, e0, e1, len) = {
-                        let cell = self.arrays[id as usize]
-                            .as_ref()
-                            .expect("validated before Index3BinSlotInt");
-                        (
-                            cell.dims[dim as usize],
-                            cell.dims[dim as usize + 1],
-                            cell.dims[dim as usize + 2],
-                            cell.data.len(),
-                        )
-                    };
-                    let l = self.slots[s as usize];
-                    self.charge(bcost);
-                    if matches!(l, Value::Double(_)) {
-                        self.flops += 1;
-                    }
-                    let idx = apply_bin(op, l, Value::Int(v))?.as_i64();
-                    if idx < 0 || idx >= e as i64 {
-                        return Err(RuntimeError::OutOfBounds {
-                            array: self.exe.array_names[id as usize].clone(),
-                            index: idx,
-                            len,
-                        });
-                    }
-                    let flat = if first {
-                        idx
-                    } else {
-                        self.pop().as_i64() * e as i64 + idx
-                    };
-                    self.charge(cost);
-                    if fuel > 0 {
-                        self.ops += u64::from(fuel);
-                        if self.ops > self.config.max_ops {
-                            return Err(RuntimeError::FuelExhausted);
-                        }
-                    }
-                    let idx0 = self.slots[s0 as usize].as_i64();
-                    if idx0 < 0 || idx0 >= e0 as i64 {
-                        return Err(RuntimeError::OutOfBounds {
-                            array: self.exe.array_names[id as usize].clone(),
-                            index: idx0,
-                            len,
-                        });
-                    }
-                    let acc = flat * e0 as i64 + idx0;
-                    self.charge(c0);
-                    if f0 > 0 {
-                        self.ops += u64::from(f0);
-                        if self.ops > self.config.max_ops {
-                            return Err(RuntimeError::FuelExhausted);
-                        }
-                    }
-                    let idx1 = self.slots[s1 as usize].as_i64();
-                    if idx1 < 0 || idx1 >= e1 as i64 {
-                        return Err(RuntimeError::OutOfBounds {
-                            array: self.exe.array_names[id as usize].clone(),
-                            index: idx1,
-                            len,
-                        });
-                    }
-                    self.stack.push(Value::Int(acc * e1 as i64 + idx1));
-                    self.charge(c1);
-                    if f1 > 0 {
-                        self.ops += u64::from(f1);
-                        if self.ops > self.config.max_ops {
-                            return Err(RuntimeError::FuelExhausted);
-                        }
-                    }
-                    self.run_tail(id, tail)?;
-                }
-                Insn::StoreArrayPop(id) => self.store_array_pop(id),
-                Insn::Halt => {
+                RInsn::Halt => {
                     // Early return unwinds through open parallel loops
-                    // innermost-first, applying each makespan exactly as
-                    // the tree's recursive exec_for unwinding does.
+                    // innermost-first, exactly like the tree's
+                    // recursive exec_for unwinding.
                     while let Some(ctx) = self.par_stack.pop() {
                         self.finish_parallel(ctx);
                     }
@@ -854,15 +629,358 @@ impl Vm<'_> {
         }
     }
 
-    fn pop(&mut self) -> Value {
-        self.stack.pop().expect("operand stack underflow")
+    /// Runs a whole fused innermost loop to completion: the guard (the
+    /// original `CmpBr`), the straight-line body instructions scanned
+    /// in place, and the step (the original `StepJump`) — exactly the
+    /// instruction sequence the unfused loop dispatches, so cycles,
+    /// fuel, flops, cache order and error points stay bit-identical;
+    /// only the dispatcher round-trips disappear. On normal return the
+    /// caller continues at `d.exit`.
+    fn run_hot_loop(&mut self, d: &HotLoopDesc) -> Result<(), RuntimeError> {
+        let exe = self.exe;
+        let RInsn::StepJump {
+            fuel: sfuel,
+            op: sop,
+            cost: scost,
+            slot,
+            rhs: srhs,
+            ..
+        } = exe.code[d.step as usize]
+        else {
+            unreachable!("HotLoop step slot holds the original StepJump")
+        };
+        let (body_start, body_end) = (d.body.0 as usize, d.body.1 as usize);
+        loop {
+            // Guard: the original CmpBr arm.
+            if d.fuel > 0 {
+                self.fuel(d.fuel)?;
+            }
+            let l = self.val(d.a);
+            let r = self.val(d.b);
+            self.cycles += d.cost;
+            if matches!(l, Value::Double(_)) || matches!(r, Value::Double(_)) {
+                self.flops += 1;
+            }
+            let v = bin_any(d.op, l, r)?;
+            if d.post != 0.0 {
+                self.cycles += d.post;
+            }
+            if !v.truthy() {
+                return Ok(());
+            }
+            if d.pcost != 0.0 {
+                self.cycles += d.pcost;
+            }
+            // Body: the whitelisted straight-line instructions, run
+            // where they sit.
+            for q in body_start..body_end {
+                match exe.code[q] {
+                    RInsn::Fuel(n) => self.fuel(n)?,
+                    RInsn::Charge(c) => self.cycles += c,
+                    RInsn::Nav(n) => self.run_nav(&exe.navs[n as usize])?,
+                    RInsn::Mov { dst, src } => self.regs[dst as usize] = self.val(src),
+                    RInsn::SetSlot { slot, src } => {
+                        let v = self.val(src);
+                        self.write_slot(slot as usize, v);
+                    }
+                    RInsn::DeclSlot { slot, kind, src } => self.do_decl_slot(slot, kind, src),
+                    RInsn::DeclDefault { slot, is_float } => {
+                        self.regs[slot as usize] = if is_float {
+                            Value::Double(0.0)
+                        } else {
+                            Value::Int(0)
+                        };
+                    }
+                    RInsn::Neg { cost, dst, src } => self.do_neg(cost, dst, src),
+                    RInsn::Not { cost, dst, src } => self.do_not(cost, dst, src),
+                    RInsn::Bin {
+                        op,
+                        cost,
+                        dst,
+                        a,
+                        b,
+                    } => self.do_bin(op, cost, dst, a, b)?,
+                    RInsn::CompoundSet {
+                        op,
+                        cost,
+                        slot,
+                        rhs,
+                    } => self.do_compound_set(op, cost, slot, rhs)?,
+                    RInsn::CompoundSetVal {
+                        op,
+                        cost,
+                        slot,
+                        rhs,
+                        dst,
+                    } => self.do_compound_set_val(op, cost, slot, rhs, dst)?,
+                    RInsn::CompoundTmp {
+                        op,
+                        cost,
+                        dst,
+                        old,
+                        rhs,
+                    } => self.do_compound_tmp(op, cost, dst, old, rhs)?,
+                    RInsn::Truthy { dst, src } => {
+                        let v = self.val(src);
+                        self.regs[dst as usize] = Value::Int(i64::from(v.truthy()));
+                    }
+                    RInsn::Cast {
+                        kind,
+                        cost,
+                        dst,
+                        src,
+                    } => self.do_cast(kind, cost, dst, src),
+                    RInsn::Call1 {
+                        f,
+                        cost,
+                        div_cost,
+                        dst,
+                        a,
+                    } => self.do_call1(f, cost, div_cost, dst, a),
+                    RInsn::Call2 { f, cost, dst, a, b } => self.do_call2(f, cost, dst, a, b),
+                    RInsn::ArrayCheck { id, subs } => self.do_array_check(id, subs)?,
+                    RInsn::IdxDim {
+                        id,
+                        dim,
+                        first,
+                        cost,
+                        idx,
+                        acc,
+                    } => self.do_idx_dim(id, dim, first, cost, idx, acc)?,
+                    RInsn::LoadA { id, acc, dst } => {
+                        let flat = self.regs[acc as usize].as_i64() as usize;
+                        self.elem_load(id, flat, dst);
+                    }
+                    RInsn::StoreA { id, acc, val } => {
+                        let flat = self.regs[acc as usize].as_i64() as usize;
+                        let v = self.val(val);
+                        self.elem_store(id, flat, v);
+                    }
+                    RInsn::RmwA {
+                        op,
+                        cost,
+                        id,
+                        acc,
+                        rhs,
+                        dst,
+                    } => {
+                        let flat = self.regs[acc as usize].as_i64() as usize;
+                        let r = self.val(rhs);
+                        let v = self.elem_rmw(id, flat, op, cost, r)?;
+                        self.regs[dst as usize] = v;
+                    }
+                    RInsn::LoadABin {
+                        op,
+                        cost,
+                        id,
+                        acc,
+                        lhs,
+                        dst,
+                    } => {
+                        let flat = self.regs[acc as usize].as_i64() as usize;
+                        let l = self.val(lhs);
+                        let v = self.elem_load_bin(id, flat, op, cost, l)?;
+                        self.regs[dst as usize] = v;
+                    }
+                    _ => unreachable!("non-straight-line instruction in a fused hot loop"),
+                }
+            }
+            // Step: the original StepJump arm, minus the jump.
+            if sfuel > 0 {
+                self.fuel(sfuel)?;
+            }
+            let old = self.regs[slot as usize];
+            let r = self.val(srhs);
+            self.cycles += scost;
+            if matches!(old, Value::Double(_)) {
+                self.flops += 1;
+            }
+            let v = bin_any(sop, old, r)?;
+            self.write_slot(slot as usize, v);
+        }
     }
 
-    /// [`Insn::LoadArray`]: pop the flat index, read the element
-    /// through the cache, push it.
+    /// Runs one fused subscript chain + access: per dimension, tick the
+    /// pending fuel, evaluate the subscript, bounds-check, fold into
+    /// the flat index and charge — then the access tail.
+    ///
+    /// The whole chain works on one resolution of the array cell
+    /// (nothing inside a nav can reallocate arrays) and on split field
+    /// borrows, so the per-dimension work compiles down to the index
+    /// arithmetic, the bounds test and the two accumulator adds.
+    fn run_nav(&mut self, d: &NavDesc) -> Result<(), RuntimeError> {
+        let id = d.id as usize;
+        let Vm {
+            exe,
+            config,
+            regs,
+            arrays,
+            cache,
+            cycles,
+            ops,
+            flops,
+            ..
+        } = self;
+        let cell = arrays[id].as_mut().expect("checked before Nav");
+        let mut flat: i64 = 0;
+        // Fast path: when the whole chain's fuel cannot exhaust the
+        // budget, tick it at once (tick *order* is unobservable — only
+        // totals and error points are). Under the guard FuelExhausted
+        // cannot fire mid-chain in either engine, and every non-fuel
+        // error point (bounds, subscript ops) is evaluated in the same
+        // order with the same payloads, so per-step budget checks are
+        // skipped without breaking the contract.
+        let batched = *ops + u64::from(d.total_fuel) <= config.max_ops;
+        if batched {
+            *ops += u64::from(d.total_fuel);
+        }
+        for (dim, step) in d.steps[..d.n as usize].iter().enumerate() {
+            if !batched && step.fuel > 0 {
+                *ops += u64::from(step.fuel);
+                if *ops > config.max_ops {
+                    return Err(RuntimeError::FuelExhausted);
+                }
+            }
+            let idx = match step.idx {
+                SubIdx::Reg(r) => regs[r as usize].as_i64(),
+                SubIdx::Imm(v) => v,
+                SubIdx::RegOff { s, op, rhs, bcost } => {
+                    let l = regs[s as usize];
+                    *cycles += bcost;
+                    if matches!(l, Value::Double(_)) {
+                        *flops += 1;
+                    }
+                    bin_any(op, l, Value::Int(rhs))?.as_i64()
+                }
+                SubIdx::RegOff2 {
+                    s,
+                    op1,
+                    r1,
+                    bcost1,
+                    op2,
+                    r2,
+                    bcost2,
+                } => {
+                    // Tree order: inner charge/flop/apply, then
+                    // outer. `op1` is error-free by construction,
+                    // but route through bin_any so the semantics
+                    // stay the oracle's by inspection.
+                    let l = regs[s as usize];
+                    let r1 = match r1 {
+                        Opnd::Reg(r) => regs[r as usize],
+                        Opnd::ImmI(v) => Value::Int(v),
+                        Opnd::ImmF(v) => Value::Double(v),
+                    };
+                    *cycles += bcost1;
+                    if matches!(l, Value::Double(_)) || matches!(r1, Value::Double(_)) {
+                        *flops += 1;
+                    }
+                    let m = bin_any(op1, l, r1)?;
+                    let r2 = match r2 {
+                        Opnd::Reg(r) => regs[r as usize],
+                        Opnd::ImmI(v) => Value::Int(v),
+                        Opnd::ImmF(v) => Value::Double(v),
+                    };
+                    *cycles += bcost2;
+                    if matches!(m, Value::Double(_)) || matches!(r2, Value::Double(_)) {
+                        *flops += 1;
+                    }
+                    bin_any(op2, m, r2)?.as_i64()
+                }
+            };
+            let extent = cell.dims[dim];
+            if idx < 0 || idx >= extent as i64 {
+                return Err(RuntimeError::OutOfBounds {
+                    array: exe.array_names[id].clone(),
+                    index: idx,
+                    len: cell.data.len(),
+                });
+            }
+            flat = if dim == 0 {
+                idx
+            } else {
+                flat * extent as i64 + idx
+            };
+            *cycles += step.cost;
+        }
+        let flat = flat as usize;
+        let addr = cell.base + flat as u64 * 8;
+        let is_float = cell.is_float;
+        let from_raw = |raw: f64| {
+            if is_float {
+                Value::Double(raw)
+            } else {
+                Value::Int(raw as i64)
+            }
+        };
+        match d.tail {
+            RTail::Load { dst } => {
+                let raw = cell.data[flat];
+                let (_, latency) = cache.access(addr);
+                *cycles += latency as f64;
+                regs[dst as usize] = from_raw(raw);
+            }
+            RTail::LoadBin { op, cost, lhs, dst } => {
+                let l = match lhs {
+                    Opnd::Reg(r) => regs[r as usize],
+                    Opnd::ImmI(v) => Value::Int(v),
+                    Opnd::ImmF(v) => Value::Double(v),
+                };
+                let raw = cell.data[flat];
+                let (_, latency) = cache.access(addr);
+                *cycles += latency as f64;
+                let r = from_raw(raw);
+                *cycles += cost;
+                if matches!(l, Value::Double(_)) || matches!(r, Value::Double(_)) {
+                    *flops += 1;
+                }
+                regs[dst as usize] = bin_any(op, l, r)?;
+            }
+            RTail::Store { val } => {
+                let v = match val {
+                    Opnd::Reg(r) => regs[r as usize],
+                    Opnd::ImmI(v) => Value::Int(v),
+                    Opnd::ImmF(v) => Value::Double(v),
+                };
+                cell.data[flat] = if is_float {
+                    v.as_f64()
+                } else {
+                    v.as_i64() as f64
+                };
+                let (_, latency) = cache.access(addr);
+                *cycles += latency as f64;
+            }
+            RTail::Rmw { op, cost, rhs, dst } => {
+                let r = match rhs {
+                    Opnd::Reg(r) => regs[r as usize],
+                    Opnd::ImmI(v) => Value::Int(v),
+                    Opnd::ImmF(v) => Value::Double(v),
+                };
+                let raw = cell.data[flat];
+                let (_, latency) = cache.access(addr);
+                *cycles += latency as f64;
+                let old = from_raw(raw);
+                *cycles += cost;
+                if matches!(old, Value::Double(_)) {
+                    *flops += 1;
+                }
+                let new = bin_any(op, old, r)?;
+                cell.data[flat] = if is_float {
+                    new.as_f64()
+                } else {
+                    new.as_i64() as f64
+                };
+                let (_, latency) = cache.access(addr);
+                *cycles += latency as f64;
+                regs[dst as usize] = new;
+            }
+        }
+        Ok(())
+    }
+
+    /// Read one element through the cache into a register.
     #[inline]
-    fn load_array(&mut self, id: u32) {
-        let flat = self.pop().as_i64() as usize;
+    fn elem_load(&mut self, id: u32, flat: usize, dst: u32) {
         let cell = self.arrays[id as usize]
             .as_ref()
             .expect("validated before array load");
@@ -871,18 +989,23 @@ impl Vm<'_> {
         let raw = cell.data[flat];
         let (_, latency) = self.cache.access(addr);
         self.cycles += latency as f64;
-        self.stack.push(if is_float {
+        self.regs[dst as usize] = if is_float {
             Value::Double(raw)
         } else {
             Value::Int(raw as i64)
-        });
+        };
     }
 
-    /// [`Insn::LoadArrayBin`]: the loaded element is the rhs of a
-    /// binary op whose lhs is next on the stack.
+    /// Read one element as the rhs of a binary op.
     #[inline]
-    fn load_array_bin(&mut self, id: u32, op: BinOp, cost: f64) -> Result<(), RuntimeError> {
-        let flat = self.pop().as_i64() as usize;
+    fn elem_load_bin(
+        &mut self,
+        id: u32,
+        flat: usize,
+        op: locus_srcir::ast::BinOp,
+        cost: f64,
+        l: Value,
+    ) -> Result<Value, RuntimeError> {
         let cell = self.arrays[id as usize]
             .as_ref()
             .expect("validated before array load");
@@ -896,22 +1019,17 @@ impl Vm<'_> {
         } else {
             Value::Int(raw as i64)
         };
-        let l = self.pop();
-        self.charge(cost);
+        self.cycles += cost;
         if matches!(l, Value::Double(_)) || matches!(r, Value::Double(_)) {
             self.flops += 1;
         }
-        let v = apply_bin(op, l, r)?;
-        self.stack.push(v);
-        Ok(())
+        apply_bin(op, l, r)
     }
 
-    /// [`Insn::StoreArrayPop`]: pop the flat index and the value, write
-    /// through the cache, push nothing.
+    /// Write one element through the cache (coerced to the element
+    /// type).
     #[inline]
-    fn store_array_pop(&mut self, id: u32) {
-        let flat = self.pop().as_i64() as usize;
-        let value = self.pop();
+    fn elem_store(&mut self, id: u32, flat: usize, value: Value) {
         let cell = self.arrays[id as usize]
             .as_mut()
             .expect("validated before array store");
@@ -925,36 +1043,49 @@ impl Vm<'_> {
         self.cycles += latency as f64;
     }
 
-    /// Runs the array access fused onto the end of a subscript chain,
-    /// right after the chain's last index step pushed the flat index.
+    /// Read-modify-write one element: two cache accesses, one address.
     #[inline]
-    fn run_tail(&mut self, id: u32, tail: AccessTail) -> Result<(), RuntimeError> {
-        match tail {
-            AccessTail::None => Ok(()),
-            AccessTail::Load => {
-                self.load_array(id);
-                Ok(())
-            }
-            AccessTail::LoadBin(op, cost) => self.load_array_bin(id, op, cost),
-            AccessTail::StorePop => {
-                self.store_array_pop(id);
-                Ok(())
-            }
-        }
-    }
-
-    fn charge(&mut self, cost: f64) {
-        if self.vector_depth > 0 {
-            self.cycles += cost / self.w;
+    fn elem_rmw(
+        &mut self,
+        id: u32,
+        flat: usize,
+        op: locus_srcir::ast::BinOp,
+        cost: f64,
+        rhs: Value,
+    ) -> Result<Value, RuntimeError> {
+        let cell = self.arrays[id as usize]
+            .as_ref()
+            .expect("validated before array rmw");
+        let addr = cell.base + flat as u64 * 8;
+        let is_float = cell.is_float;
+        let raw = cell.data[flat];
+        let (_, latency) = self.cache.access(addr);
+        self.cycles += latency as f64;
+        let old = if is_float {
+            Value::Double(raw)
         } else {
-            self.cycles += cost;
+            Value::Int(raw as i64)
+        };
+        self.cycles += cost;
+        if matches!(old, Value::Double(_)) {
+            self.flops += 1;
         }
+        let new = bin_any(op, old, rhs)?;
+        let cell = self.arrays[id as usize].as_mut().expect("cell read above");
+        cell.data[flat] = if is_float {
+            new.as_f64()
+        } else {
+            new.as_i64() as f64
+        };
+        let (_, latency) = self.cache.access(addr);
+        self.cycles += latency as f64;
+        Ok(new)
     }
 
     /// Stores preserving the slot's current tag (the tree's
-    /// `write_scalar` keeps the declared type).
+    /// `write_scalar`).
     fn write_slot(&mut self, slot: usize, value: Value) {
-        let cell = &mut self.slots[slot];
+        let cell = &mut self.regs[slot];
         *cell = match cell {
             Value::Int(_) => Value::Int(value.as_i64()),
             Value::Double(_) => Value::Double(value.as_f64()),
@@ -966,7 +1097,7 @@ impl Vm<'_> {
     fn resolve_chain(&self, i: u32) -> Result<usize, RuntimeError> {
         let chain = &self.exe.chains[i as usize];
         for &(flag, slot) in &chain.guards {
-            if self.slots[flag as usize].truthy() {
+            if self.regs[flag as usize].truthy() {
                 return Ok(slot as usize);
             }
         }

@@ -13,7 +13,7 @@ cargo test -q --offline --test store_persistence
 # Verifier-pruned search named explicitly: racy points are refused before
 # the machine ever simulates them, bit-identically to the sequential run.
 cargo test -q --offline --test verify_pruning
-# Engine differential suite named explicitly: the bytecode VM must return
+# Engine differential suite named explicitly: the register VM must return
 # bit-identical measurements to the tree interpreter on the whole corpus.
 cargo test -q --offline --test vm_equivalence
 # Deterministic fuzz suite (pinned seeds): parse(print(ast)) is a fixpoint
@@ -50,12 +50,15 @@ cargo test -q --offline --test daemon_service
 cargo test -q --offline --test daemon_protocol
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+# Private items too: intra-doc links between internal modules (the
+# compiler, bytecode and VM) must not dangle either.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --document-private-items
 
 # Engine bench smoke in check mode: refuses to pass unless every kernel
-# is bit-identical across tree, stack VM, register VM *and* the batched
-# register path, the register VM clears its speedup floors (7x geomean
-# batched, 6x sequential), the stack VM holds its historical 5x floor,
-# and the disabled-tracer run_traced path stays under 1% overhead.
+# is bit-identical across tree, register VM *and* the batched register
+# path, the register VM clears its speedup floors (7x geomean batched,
+# 6x sequential), and the disabled-tracer run_traced path stays under
+# 1% overhead.
 ./target/release/bench_interp /tmp/locus_bench_interp.json --check
 
 # Cross-machine corpus sweep smoke: two entries over two profiles;

@@ -147,11 +147,7 @@ fn non_rectangular_transforms_are_refused_or_checksum_preserving() {
                     .find(|r| r.id == entry.region)
                     .expect("region exists");
                 replace_region(&mut variant, &region, stmt);
-                for engine in [
-                    ExecEngine::Tree,
-                    ExecEngine::Bytecode,
-                    ExecEngine::RegisterVm,
-                ] {
+                for engine in [ExecEngine::Tree, ExecEngine::RegisterVm] {
                     let m = Machine::new(config.clone().with_engine(engine))
                         .run(&variant, "kernel")
                         .unwrap_or_else(|e| {

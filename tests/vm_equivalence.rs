@@ -1,11 +1,12 @@
-//! Differential suite for the three execution engines: the tree
-//! interpreter (the reference oracle), the stack-bytecode VM (a second
-//! oracle) and the register VM (the production path) must return
-//! *bit-identical* [`Measurement`]s — cycles compared by f64 bit
-//! pattern, not approximately — and identical [`RuntimeError`]s,
-//! across the corpus, transformed variants, and every error path.
+//! Differential suite for the two execution engines: the tree
+//! interpreter (the reference oracle) and the register VM (the
+//! production path) must return *bit-identical* [`Measurement`]s —
+//! cycles compared by f64 bit pattern, not approximately — and
+//! identical [`RuntimeError`]s, across the corpus, transformed
+//! variants, and every error path.
 //! Batched evaluation ([`CompiledVariant`]) must match per-variant
-//! [`Machine::run`] point for point.
+//! [`Machine::run`] point for point, and its compile memo must reuse
+//! code exactly when only runtime fields of the configuration change.
 //!
 //! Like `transform_semantics.rs`, the randomized sweeps are hand-rolled
 //! over the in-tree [`SplitMix64`] generator (offline-only build, no
@@ -21,30 +22,31 @@ use locus::space::SplitMix64;
 use locus::srcir::ast::{OmpSchedule, OmpScheduleKind, Program};
 use locus::srcir::index::HierIndex;
 use locus::srcir::region::{extract_region, find_regions, replace_region};
+use locus::trace::Tracer;
 use locus::transform;
 use locus::transform::selector::LoopSel;
 
-/// The compiled engines, each checked against the tree oracle.
-const COMPILED_ENGINES: [ExecEngine; 2] = [ExecEngine::Bytecode, ExecEngine::RegisterVm];
+type Outcome = Result<Measurement, RuntimeError>;
 
-/// Runs `program` on all three engines under `config` and asserts the
+/// Runs `program` on `config` under the tree oracle and the register
+/// VM.
+fn run_both(config: &MachineConfig, program: &Program) -> (Outcome, Outcome) {
+    let run = |engine| Machine::new(config.clone().with_engine(engine)).run(program, "kernel");
+    (run(ExecEngine::Tree), run(ExecEngine::RegisterVm))
+}
+
+/// Runs `program` on both engines under `config` and asserts the
 /// results are bit-identical: either the same [`Measurement`] field for
 /// field (floats by bit pattern) or the same [`RuntimeError`].
 fn assert_engines_agree(label: &str, config: &MachineConfig, program: &Program) {
-    let tree = Machine::new(config.clone().with_engine(ExecEngine::Tree)).run(program, "kernel");
-    for engine in COMPILED_ENGINES {
-        let vm = Machine::new(config.clone().with_engine(engine)).run(program, "kernel");
-        match (&tree, &vm) {
-            (Ok(t), Ok(v)) => {
-                assert_measurements_identical(&format!("{label}/{engine:?}"), program, t, v)
-            }
-            (tree, vm) => assert_eq!(
-                tree,
-                vm,
-                "{label}: tree and {engine:?} disagree on outcome\n{}",
-                locus::srcir::print_program(program)
-            ),
-        }
+    match run_both(config, program) {
+        (Ok(t), Ok(v)) => assert_measurements_identical(label, program, &t, &v),
+        (tree, vm) => assert_eq!(
+            tree,
+            vm,
+            "{label}: tree and register VM disagree on outcome\n{}",
+            locus::srcir::print_program(program)
+        ),
     }
 }
 
@@ -496,17 +498,12 @@ fn runtime_errors_are_identical() {
         ),
     ];
     for (label, src) in cases {
-        let program = parse(src);
-        let tree =
-            Machine::new(config.clone().with_engine(ExecEngine::Tree)).run(&program, "kernel");
+        let (tree, vm) = run_both(&config, &parse(src));
         assert!(tree.is_err(), "{label}: tree unexpectedly succeeded");
-        for engine in COMPILED_ENGINES {
-            let vm = Machine::new(config.clone().with_engine(engine)).run(&program, "kernel");
-            assert_eq!(
-                tree, vm,
-                "{label}: tree and {engine:?} disagree on the error"
-            );
-        }
+        assert_eq!(
+            tree, vm,
+            "{label}: tree and register VM disagree on the error"
+        );
     }
 
     // Fuel exhaustion: same budget, same tick sequence, same error.
@@ -519,24 +516,16 @@ fn runtime_errors_are_identical() {
                 A[0] = A[0] + 1.0;
         }"#,
     );
-    let tree = Machine::new(tiny.clone().with_engine(ExecEngine::Tree)).run(&runaway, "kernel");
+    let (tree, vm) = run_both(&tiny, &runaway);
     assert_eq!(tree, Err(RuntimeError::FuelExhausted));
-    for engine in COMPILED_ENGINES {
-        let vm = Machine::new(tiny.clone().with_engine(engine)).run(&runaway, "kernel");
-        assert_eq!(tree, vm, "fuel exhaustion differs on {engine:?}");
-    }
+    assert_eq!(tree, vm, "fuel exhaustion differs on the register VM");
 
     // A missing entry point and a bad entry signature are pre-execution
     // errors; they must match too.
     let no_entry = parse("double A[4];\nvoid other() { A[0] = 1.0; }");
-    let tree = Machine::new(MachineConfig::scaled_small().with_engine(ExecEngine::Tree))
-        .run(&no_entry, "kernel");
+    let (tree, vm) = run_both(&MachineConfig::scaled_small(), &no_entry);
     assert!(tree.is_err());
-    for engine in COMPILED_ENGINES {
-        let vm = Machine::new(MachineConfig::scaled_small().with_engine(engine))
-            .run(&no_entry, "kernel");
-        assert_eq!(tree, vm, "missing entry differs on {engine:?}");
-    }
+    assert_eq!(tree, vm, "missing entry differs on the register VM");
 }
 
 /// The one construct where static slot resolution is insufficient: a
@@ -639,15 +628,12 @@ fn invalid_cache_geometry_matches() {
     let mut config = MachineConfig::scaled_small();
     config.cache.levels[0].capacity = 3000; // not a power-of-two set count
     let program = parse("double A[4];\nvoid kernel() { A[0] = undefined_name; }");
-    let tree = Machine::new(config.clone().with_engine(ExecEngine::Tree)).run(&program, "kernel");
+    let (tree, vm) = run_both(&config, &program);
     assert!(
         matches!(tree, Err(RuntimeError::InvalidConfig(_))),
         "expected InvalidConfig, got {tree:?}"
     );
-    for engine in COMPILED_ENGINES {
-        let vm = Machine::new(config.clone().with_engine(engine)).run(&program, "kernel");
-        assert_eq!(tree, vm, "invalid-config error differs on {engine:?}");
-    }
+    assert_eq!(tree, vm, "invalid-config error differs on the register VM");
 }
 
 /// Batched evaluation must be indistinguishable from per-variant
@@ -656,18 +642,16 @@ fn invalid_cache_geometry_matches() {
 /// once per distinct compile key) returns exactly what a fresh
 /// [`Machine::run`] returns at each point — measurements bit for bit,
 /// errors included. This is the contract that lets tuning drivers
-/// route memo misses through the batched path.
+/// route memo misses through the batched path. The memo itself must
+/// compile once per compile key: runtime-only fields share code,
+/// compile-time fields do not.
 #[test]
 fn batched_evaluation_matches_sequential() {
     let profiles = locus::machine::all_profiles();
     for entry in corpus::all_programs() {
         let variant = CompiledVariant::new(entry.program.clone(), "kernel");
         for profile in &profiles {
-            for engine in [
-                ExecEngine::Tree,
-                ExecEngine::Bytecode,
-                ExecEngine::RegisterVm,
-            ] {
+            for engine in [ExecEngine::Tree, ExecEngine::RegisterVm] {
                 let config = profile.config.clone().with_engine(engine);
                 let batched = variant.run(&config);
                 let sequential = Machine::new(config).run(&entry.program, "kernel");
@@ -688,23 +672,46 @@ fn batched_evaluation_matches_sequential() {
         }
     }
 
-    // `Machine::run_batched` is the one-call wrapper over the same
-    // machinery; error points (fuel exhaustion on a tiny budget) must
-    // round-trip identically too.
-    let mut tiny = MachineConfig::scaled_small();
-    tiny.max_ops = 1_000;
-    let configs = [
-        MachineConfig::scaled_small(),
-        tiny,
-        MachineConfig::scaled_tiny(),
-    ];
+    // One variant swept with a live tracer. The configurations first
+    // differ only in runtime fields — the fuel limit (exhausted on a
+    // memo hit, an error point that must round-trip identically) and
+    // the cache geometry — so they share one compile. Flipping the
+    // parallel lowering (`cores > 1`) or a cost constant changes the
+    // compile key and must compile again.
     let program = corpus::dgemm_program(12);
-    let batched = Machine::run_batched(&program, "kernel", &configs);
-    for (cfg, got) in configs.iter().zip(&batched) {
+    let variant = CompiledVariant::new(program.clone(), "kernel");
+    let tracer = Tracer::enabled();
+    let compiles = || {
+        tracer
+            .events()
+            .iter()
+            .filter(|e| e.cat == "machine" && e.name == "compile-regvm")
+            .count()
+    };
+    let sweep = |cfg: &MachineConfig| {
+        let got = variant.run_traced(cfg, &tracer);
         let want = Machine::new(cfg.clone()).run(&program, "kernel");
-        match (got, &want) {
-            (Ok(b), Ok(s)) => assert_measurements_identical("run_batched", &program, s, b),
-            _ => assert_eq!(got, &want, "run_batched outcome differs"),
+        match (&got, &want) {
+            (Ok(b), Ok(s)) => assert_measurements_identical("memo sweep", &program, s, b),
+            _ => assert_eq!(got, want, "memo sweep outcome differs"),
         }
-    }
+        got
+    };
+    let small = MachineConfig::scaled_small();
+    let mut tiny_fuel = small.clone();
+    tiny_fuel.max_ops = 1_000;
+    assert!(sweep(&small).is_ok());
+    assert_eq!(sweep(&tiny_fuel), Err(RuntimeError::FuelExhausted));
+    assert!(sweep(&MachineConfig::scaled_tiny()).is_ok());
+    assert_eq!(compiles(), 1, "runtime-only fields must hit the memo");
+
+    assert!(sweep(&small.clone().with_cores(1)).is_ok());
+    assert_eq!(compiles(), 2, "cores > 1 flips the parallel lowering");
+    let mut dearer_add = small.clone();
+    dearer_add.cost.add += 1.0;
+    assert!(sweep(&dearer_add).is_ok());
+    assert_eq!(compiles(), 3, "cost constants are baked into the code");
+    assert!(sweep(&dearer_add).is_ok());
+    assert!(sweep(&small).is_ok());
+    assert_eq!(compiles(), 3, "every compile key is memoized");
 }
