@@ -11,7 +11,7 @@ use std::hint::black_box;
 use locus_bench::fig6::fig7_locus_program;
 use locus_bench::timer::bench_function;
 use locus_bench::{bench_machine, fig6::run_dgemm};
-use locus_core::LocusSystem;
+use locus_core::{LocusSystem, TuneRequest};
 use locus_corpus::dgemm_program;
 use locus_space::{ParamValue, Point};
 
@@ -56,9 +56,8 @@ fn main() {
     });
     bench_function("fig6_dgemm/search/bandit_budget8", || {
         let mut search = locus_search::BanditTuner::new(1);
-        system
-            .tune(black_box(&source), black_box(&locus), &mut search, 8)
-            .unwrap()
+        let request = TuneRequest::new(black_box(&source), black_box(&locus), 8);
+        system.run(request, &mut search).unwrap()
     });
     bench_function("fig6_dgemm/figure/two_core_points", || {
         run_dgemm(black_box(24), 4, &[1, 4], 7, 16)

@@ -8,7 +8,7 @@ use std::hint::black_box;
 use locus_bench::bench_machine;
 use locus_bench::table1::FIG13_PROGRAM;
 use locus_bench::timer::bench_function;
-use locus_core::LocusSystem;
+use locus_core::{LocusSystem, TuneRequest};
 use locus_corpus::generate_corpus;
 
 fn main() {
@@ -36,8 +36,8 @@ fn main() {
 
     bench_function("pipeline/tune_one_nest/budget6", || {
         let mut search = locus_search::BanditTuner::new(3);
-        on.tune(black_box(&nest.program), &locus, &mut search, 6)
-            .unwrap()
+        let request = TuneRequest::new(black_box(&nest.program), &locus, 6);
+        on.run(request, &mut search).unwrap()
     });
 
     // Dependence analysis, the hot inner analysis of every legality

@@ -12,7 +12,7 @@
 
 use locus_bench::report::render_table;
 use locus_bench::{bench_machine, table1::FIG13_PROGRAM};
-use locus_core::LocusSystem;
+use locus_core::{LocusSystem, TuneRequest};
 use locus_corpus::{dgemm_program, generate_corpus};
 use locus_search::{AnnealTuner, BanditTuner, ExhaustiveSearch, RandomSearch, SearchModule};
 use locus_srcir::index::HierIndex;
@@ -82,8 +82,8 @@ fn ablation_constraints() {
     .expect("program parses");
     let system = LocusSystem::new(bench_machine(1));
     let mut search = ExhaustiveSearch::default();
-    let result = system
-        .tune(&source, &locus, &mut search, 64)
+    let (result, _) = system
+        .run(TuneRequest::new(&source, &locus, 64), &mut search)
         .expect("tuning runs");
     println!("Ablation 2: dependent-range constraints (Fig. 7 style two-level tiling)");
     println!(
@@ -100,8 +100,8 @@ fn ablation_search_modules() {
     let system = LocusSystem::new(bench_machine(4));
     let mut rows = Vec::new();
     let mut run = |name: &str, search: &mut dyn SearchModule| {
-        let result = system
-            .tune(&source, &locus, search, budget)
+        let (result, _) = system
+            .run(TuneRequest::new(&source, &locus, budget), search)
             .expect("tuning runs");
         rows.push(vec![
             name.to_string(),

@@ -1,6 +1,7 @@
-//! Benchmarks `tune_parallel` (batched evaluation + shared memo cache)
-//! against the sequential `tune` on the Fig. 7 DGEMM problem and writes
-//! the result to `BENCH_parallel.json`.
+//! Benchmarks a parallel `LocusSystem::run` request (batches of
+//! `PARALLEL_BATCH` over a worker pool) against a sequential one
+//! (batches of one point) on the Fig. 7 DGEMM problem and writes the
+//! result to `BENCH_parallel.json`.
 //!
 //! Usage: `cargo run --release -p locus-bench --bin bench_parallel
 //! [output.json]` (threads via `LOCUS_THREADS`, default 8).
@@ -16,7 +17,7 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_parallel.json".to_string());
 
-    eprintln!("tune_parallel vs tune, {threads} worker threads");
+    eprintln!("run parallel vs run sequential, {threads} worker threads");
     let rows = run_parallel(threads);
     for r in &rows {
         println!(

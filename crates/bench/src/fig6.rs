@@ -1,7 +1,7 @@
 //! Fig. 6 harnesses: DGEMM core sweep and the six-stencil comparison.
 
 use locus_baselines::{mkl_like_dgemm, PlutoLike};
-use locus_core::LocusSystem;
+use locus_core::{LocusSystem, TuneRequest};
 use locus_corpus::{dgemm_program, stencil_program, Stencil};
 use locus_search::BanditTuner;
 
@@ -88,8 +88,8 @@ pub fn run_dgemm(
     for (k, &c) in cores.iter().enumerate() {
         let system = LocusSystem::new(bench_machine(c));
         let mut search = BanditTuner::new(seed + k as u64);
-        let result = system
-            .tune(&source, &locus, &mut search, budget)
+        let (result, _) = system
+            .run(TuneRequest::new(&source, &locus, budget), &mut search)
             .expect("DGEMM tuning runs");
         space_size = result.space_size;
         let locus_speedup = match &result.best {
@@ -176,8 +176,8 @@ pub fn run_stencils(n: usize, t_steps: usize, budget: usize) -> Vec<StencilRow> 
         let locus = fig9_locus_program(stencil, 4, 32);
         let system = LocusSystem::new(machine.clone());
         let mut search = locus_search::ExhaustiveSearch::default();
-        let result = system
-            .tune(&source, &locus, &mut search, budget)
+        let (result, _) = system
+            .run(TuneRequest::new(&source, &locus, budget), &mut search)
             .expect("stencil tuning runs");
         let locus_speedup = result.speedup();
 

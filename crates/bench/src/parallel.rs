@@ -1,25 +1,25 @@
-//! Benchmarks the parallel batched-evaluation engine
-//! ([`LocusSystem::tune_parallel`]) against the sequential driver on the
-//! Fig. 7 DGEMM tuning problem, and checks the determinism contract
-//! while at it: same seed, same best — bit for bit.
+//! Benchmarks the two search protocols of [`LocusSystem::run`] on the
+//! Fig. 7 DGEMM tuning problem: a sequential request (batches of one
+//! point on the calling thread) against a [`TuneRequest::parallel`] one
+//! (batches of [`locus_core::PARALLEL_BATCH`] over a worker pool), and
+//! checks the determinism contract while at it: same seed, same best —
+//! bit for bit.
 //!
-//! The interesting effect on a small host is not thread-level speedup
-//! (the simulated measurements are CPU-bound) but the shared memo
-//! cache: OR-block points whose dead parameters differ specialize to
-//! the *same* direct program, so the parallel engine measures each
-//! distinct variant exactly once where the sequential driver measures
-//! every point.
+//! Both sides run the same driver with the same memo, so the comparison
+//! isolates the protocol: batching and worker threads. On a small host
+//! the simulated measurements are CPU-bound, so thread-level speedup is
+//! bounded by the core count.
 
 use std::time::Instant;
 
-use locus_core::{LocusSystem, MemoStats, TuneResult};
+use locus_core::{LocusSystem, MemoCache, MemoStats, TuneRequest};
 use locus_corpus::dgemm_program;
 use locus_search::{ExhaustiveSearch, RandomSearch, SearchModule};
 
 use crate::bench_machine_tiny;
 use crate::fig6::fig7_locus_program;
 
-/// One comparison row of the parallel-vs-sequential benchmark.
+/// One comparison row of the sequential-vs-parallel benchmark.
 #[derive(Debug, Clone)]
 pub struct ParallelRow {
     /// Row label.
@@ -30,130 +30,92 @@ pub struct ParallelRow {
     pub budget: usize,
     /// Worker threads of the parallel side.
     pub threads: usize,
-    /// Wall-clock of the sequential `tune`.
+    /// Wall-clock of the sequential request.
     pub sequential_s: f64,
-    /// Wall-clock of `tune_parallel`.
+    /// Wall-clock of the parallel request.
     pub parallel_s: f64,
     /// `sequential_s / parallel_s`.
     pub speedup: f64,
-    /// Evaluations recorded (identical on both sides by contract).
+    /// Evaluations recorded by the sequential side.
     pub evaluations: usize,
-    /// Memo-cache statistics of the parallel run.
+    /// Memo-cache statistics of the parallel side.
     pub stats: MemoStats,
-    /// Whether both drivers returned the same best point and objective.
+    /// Whether both protocols returned the same best point and objective.
     pub identical_best: bool,
 }
 
-fn best_key(result: &TuneResult) -> Option<(String, u64)> {
-    result
-        .outcome
-        .best
-        .as_ref()
-        .map(|(p, v)| (p.canonical_key(), v.to_bits()))
+type MakeSearch = Box<dyn Fn() -> Box<dyn SearchModule>>;
+
+/// What one protocol did over a list of runs.
+struct Side {
+    seconds: f64,
+    best: Option<(String, u64)>,
+    evaluations: usize,
+    stats: MemoStats,
 }
 
-fn compare<F>(label: &str, name: &str, budget: usize, threads: usize, mut make: F) -> ParallelRow
-where
-    F: FnMut() -> Box<dyn SearchModule>,
-{
-    let source = dgemm_program(16);
+/// Drives `runs` back to back through one memo cache, sequentially
+/// (`threads == None`) or in parallel batches, keeping the best result
+/// over all runs.
+fn drive(
+    system: &LocusSystem,
+    source: &locus_srcir::ast::Program,
+    locus: &locus_lang::LocusProgram,
+    runs: &[(usize, MakeSearch)],
+    threads: Option<usize>,
+) -> Side {
+    let cache = MemoCache::new();
+    let (mut seconds, mut best, mut evaluations) = (0.0, None, 0);
+    for (budget, make) in runs {
+        let mut request = TuneRequest::new(source, locus, *budget).cache(&cache);
+        if let Some(threads) = threads {
+            request = request.parallel(threads);
+        }
+        let mut search = make();
+        let start = Instant::now();
+        let (result, _) = system.run(request, search.as_mut()).expect("tuning runs");
+        seconds += start.elapsed().as_secs_f64();
+        evaluations += result.outcome.evaluations;
+        let run_best = result
+            .outcome
+            .best
+            .as_ref()
+            .map(|(p, v)| (p.canonical_key(), v.to_bits()));
+        if best.is_none() || best_value(&run_best) < best_value(&best) {
+            best = run_best;
+        }
+    }
+    Side {
+        seconds,
+        best,
+        evaluations,
+        stats: cache.stats(),
+    }
+}
+
+fn compare(
+    label: &str,
+    name: &str,
+    n: usize,
+    runs: Vec<(usize, MakeSearch)>,
+    threads: usize,
+) -> ParallelRow {
+    let source = dgemm_program(n);
     let locus = fig7_locus_program(4);
     let system = LocusSystem::new(bench_machine_tiny(1));
-
-    let mut search = make();
-    let start = Instant::now();
-    let sequential = system
-        .tune(&source, &locus, search.as_mut(), budget)
-        .expect("sequential tuning runs");
-    let sequential_s = start.elapsed().as_secs_f64();
-
-    let mut search = make();
-    let start = Instant::now();
-    let (parallel, stats) = system
-        .tune_parallel_with_cache(&source, &locus, search.as_mut(), budget, threads)
-        .expect("parallel tuning runs");
-    let parallel_s = start.elapsed().as_secs_f64();
-
+    let sequential = drive(&system, &source, &locus, &runs, None);
+    let parallel = drive(&system, &source, &locus, &runs, Some(threads));
     ParallelRow {
         label: label.to_string(),
         search: name.to_string(),
-        budget,
+        budget: runs.iter().map(|(b, _)| b).sum(),
         threads,
-        sequential_s,
-        parallel_s,
-        speedup: sequential_s / parallel_s.max(1e-12),
-        evaluations: parallel.outcome.evaluations,
-        stats,
-        identical_best: best_key(&sequential) == best_key(&parallel),
-    }
-}
-
-/// A Fig. 6-style tuning *session*: several searches over the same
-/// source and machine, back to back. Sequential `tune` starts every run
-/// from scratch; `tune_parallel_shared` amortizes the whole session
-/// through one workspace cache, so later runs mostly replay cached
-/// measurements — the OpenTuner-memoization effect of Sec. IV-B.
-fn compare_session(threads: usize) -> ParallelRow {
-    let source = dgemm_program(8);
-    let locus = fig7_locus_program(4);
-    let system = LocusSystem::new(bench_machine_tiny(1));
-    type MakeSearch = Box<dyn Fn() -> Box<dyn SearchModule>>;
-    let runs: Vec<(usize, MakeSearch)> = vec![
-        // A full sweep of the 8192-point space, then two adaptive
-        // searches that re-propose inside it.
-        (8192, Box::new(|| Box::new(ExhaustiveSearch::default()))),
-        (512, Box::new(|| Box::new(RandomSearch::new(7)))),
-        (
-            512,
-            Box::new(|| Box::new(locus_search::BanditTuner::new(1))),
-        ),
-    ];
-    let budget: usize = runs.iter().map(|(b, _)| b).sum();
-
-    let mut sequential_s = 0.0;
-    let mut seq_best: Option<(String, u64)> = None;
-    let mut evaluations = 0;
-    for (budget, make) in &runs {
-        let mut search = make();
-        let start = Instant::now();
-        let result = system
-            .tune(&source, &locus, search.as_mut(), *budget)
-            .expect("sequential session run");
-        sequential_s += start.elapsed().as_secs_f64();
-        evaluations += result.outcome.evaluations;
-        let best = best_key(&result);
-        if seq_best.is_none() || best_value(&best) < best_value(&seq_best) {
-            seq_best = best;
-        }
-    }
-
-    let cache = locus_core::MemoCache::new();
-    let mut parallel_s = 0.0;
-    let mut par_best: Option<(String, u64)> = None;
-    for (budget, make) in &runs {
-        let mut search = make();
-        let start = Instant::now();
-        let result = system
-            .tune_parallel_shared(&source, &locus, search.as_mut(), *budget, threads, &cache)
-            .expect("parallel session run");
-        parallel_s += start.elapsed().as_secs_f64();
-        let best = best_key(&result);
-        if par_best.is_none() || best_value(&best) < best_value(&par_best) {
-            par_best = best;
-        }
-    }
-
-    ParallelRow {
-        label: "fig6 dgemm tuning session".to_string(),
-        search: "Exhaustive(8192) + Random(512) + Bandit(512), shared cache".to_string(),
-        budget,
-        threads,
-        sequential_s,
-        parallel_s,
-        speedup: sequential_s / parallel_s.max(1e-12),
-        evaluations,
-        stats: cache.stats(),
-        identical_best: seq_best == par_best,
+        sequential_s: sequential.seconds,
+        parallel_s: parallel.seconds,
+        speedup: sequential.seconds / parallel.seconds.max(1e-12),
+        evaluations: sequential.evaluations,
+        stats: parallel.stats,
+        identical_best: sequential.best == parallel.best,
     }
 }
 
@@ -175,18 +137,37 @@ pub fn run_parallel(threads: usize) -> Vec<ParallelRow> {
         compare(
             "fig7 dgemm exhaustive",
             "ExhaustiveSearch",
-            2048,
+            16,
+            vec![(2048, Box::new(|| Box::new(ExhaustiveSearch::default())))],
             threads,
-            || Box::new(ExhaustiveSearch::default()),
         ),
         compare(
             "fig7 dgemm random",
             "RandomSearch(seed 7)",
-            256,
+            16,
+            vec![(256, Box::new(|| Box::new(RandomSearch::new(7))))],
             threads,
-            || Box::new(RandomSearch::new(7)),
         ),
-        compare_session(threads),
+        // A Fig. 6-style tuning *session*: several searches over the
+        // same source and machine, back to back through one workspace
+        // cache, so later runs mostly replay cached measurements — the
+        // OpenTuner-memoization effect of Sec. IV-B. A full sweep of the
+        // 8192-point space comes first, then two adaptive searches that
+        // re-propose inside it.
+        compare(
+            "fig6 dgemm tuning session",
+            "Exhaustive(8192) + Random(512) + Bandit(512), shared cache",
+            8,
+            vec![
+                (8192, Box::new(|| Box::new(ExhaustiveSearch::default()))),
+                (512, Box::new(|| Box::new(RandomSearch::new(7)))),
+                (
+                    512,
+                    Box::new(|| Box::new(locus_search::BanditTuner::new(1))),
+                ),
+            ],
+            threads,
+        ),
     ]
 }
 
@@ -194,7 +175,7 @@ pub fn run_parallel(threads: usize) -> Vec<ParallelRow> {
 /// no serde).
 pub fn to_json(rows: &[ParallelRow]) -> String {
     let mut out = String::from(
-        "{\n  \"benchmark\": \"tune_parallel vs tune (fig7 dgemm)\",\n  \"rows\": [\n",
+        "{\n  \"benchmark\": \"run parallel vs run sequential (fig7 dgemm)\",\n  \"rows\": [\n",
     );
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -244,16 +225,24 @@ mod tests {
         // Scaled-down budgets: the real rows (run by the bench_parallel
         // binary) use the same harness with bigger sweeps.
         let rows = vec![
-            compare("exhaustive", "ExhaustiveSearch", 512, 2, || {
-                Box::new(ExhaustiveSearch::default())
-            }),
-            compare("random", "RandomSearch(seed 7)", 64, 2, || {
-                Box::new(RandomSearch::new(7))
-            }),
+            compare(
+                "exhaustive",
+                "ExhaustiveSearch",
+                16,
+                vec![(512, Box::new(|| Box::new(ExhaustiveSearch::default())))],
+                2,
+            ),
+            compare(
+                "random",
+                "RandomSearch(seed 7)",
+                16,
+                vec![(64, Box::new(|| Box::new(RandomSearch::new(7))))],
+                2,
+            ),
         ];
         assert_eq!(rows.len(), 2);
         for row in &rows {
-            assert!(row.identical_best, "{}: drivers disagreed", row.label);
+            assert!(row.identical_best, "{}: protocols disagreed", row.label);
             assert!(row.evaluations > 0);
             assert!(
                 row.stats.unique_variants <= row.stats.unique_points,

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use locus_core::{LocusSystem, TuneReport, TuneResult};
+use locus_core::{LocusSystem, StoreHandle, TuneReport, TuneRequest, TuneResult};
 use locus_corpus::dgemm_program;
 use locus_search::{ExhaustiveSearch, SearchModule};
 use locus_store::TuningStore;
@@ -62,8 +62,11 @@ fn session(
     let locus = fig7_locus_program(4);
     let mut store = TuningStore::open(store_path).expect("open tuning store");
     let start = Instant::now();
+    let request = TuneRequest::new(&source, &locus, budget)
+        .parallel(threads)
+        .store(StoreHandle::Single(&mut store));
     let (result, report) = system
-        .tune_parallel_with_store(&source, &locus, search, budget, threads, &mut store)
+        .run(request, search)
         .expect("store-backed tuning runs");
     (result, report, start.elapsed().as_secs_f64())
 }

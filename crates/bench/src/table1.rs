@@ -3,7 +3,7 @@
 //! baseline.
 
 use locus_baselines::{PlutoLike, PlutoOutcome};
-use locus_core::LocusSystem;
+use locus_core::{LocusSystem, TuneRequest};
 use locus_corpus::{generate_corpus, CorpusNest, TABLE1_SUITES};
 use locus_search::BanditTuner;
 
@@ -117,8 +117,8 @@ pub fn run_table1(seed: u64, per_suite_cap: usize, budget: usize) -> Table1Resul
         let CorpusNest { program, .. } = nest;
         let mut search = BanditTuner::new(seed ^ (k as u64).wrapping_mul(0x9e37_79b9));
         let (locus_speedup, locus_transformed, evals) =
-            match system.tune(program, &locus, &mut search, budget) {
-                Ok(result) => (
+            match system.run(TuneRequest::new(program, &locus, budget), &mut search) {
+                Ok((result, _)) => (
                     result.speedup(),
                     result.best.is_some(),
                     result.outcome.evaluations,

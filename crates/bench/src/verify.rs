@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use locus_analysis::deps::{analyze_region_conservative, DependenceInfo};
 use locus_analysis::loops::perfect_nest_loops;
-use locus_core::{LocusSystem, TuneReport, TuneResult};
+use locus_core::{LocusSystem, TuneReport, TuneRequest, TuneResult};
 use locus_corpus::dgemm_program;
 use locus_search::ExhaustiveSearch;
 use locus_srcir::ast::Stmt;
@@ -117,9 +117,8 @@ fn session(
     system.check_legality = check_legality;
     let mut search = ExhaustiveSearch::default();
     let start = Instant::now();
-    let (result, report) = system
-        .tune_parallel_with_report(source, locus, &mut search, budget, threads)
-        .expect("tuning runs");
+    let request = TuneRequest::new(source, locus, budget).parallel(threads);
+    let (result, report) = system.run(request, &mut search).expect("tuning runs");
     (result, report, start.elapsed().as_secs_f64())
 }
 

@@ -23,7 +23,7 @@ use locus_store::TuningStore;
 
 use crate::report::TuneReport;
 use crate::suggest::suggest_with_store;
-use crate::system::{ApplyError, LocusSystem, TuneResult};
+use crate::system::{ApplyError, LocusSystem, StoreHandle, TuneRequest, TuneResult};
 
 /// The result of tuning on one machine profile.
 #[derive(Debug, Clone)]
@@ -78,14 +78,10 @@ pub fn tune_across_machines(
         system.machine = Machine::new(profile.config.clone());
         system.set_baseline_variant(Arc::clone(&baseline));
         let mut search = make_search(profile);
-        let (result, report) = system.tune_parallel_with_store(
-            source,
-            locus,
-            search.as_mut(),
-            budget,
-            threads,
-            store,
-        )?;
+        let request = TuneRequest::new(source, locus, budget)
+            .parallel(threads)
+            .store(StoreHandle::Single(store));
+        let (result, report) = system.run(request, search.as_mut())?;
         let best_recipe = result.best.as_ref().map(|(point, _, _)| {
             // Re-prepare to specialize the best point; preparation is
             // deterministic, so the space and ids match the tuning run.

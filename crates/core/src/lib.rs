@@ -10,7 +10,7 @@
 //!   the **direct** workflow ([`system::LocusSystem::apply_direct`])
 //!   applies one transformation sequence and returns the optimized
 //!   program, and the **search** workflow
-//!   ([`system::LocusSystem::tune`]) converts the optimization space,
+//!   ([`system::LocusSystem::run`]) converts the optimization space,
 //!   repeatedly asks a search module for points, builds each variant,
 //!   measures it on the simulated machine, feeds the metric back, and
 //!   returns the best variant found;
@@ -41,6 +41,6 @@ pub use suggest::{
     MAX_SUGGEST_DISTANCE,
 };
 pub use system::{
-    check_coherence, region_hashes, ApplyError, LocusSystem, Prepared, StoreHandle, TuneResult,
-    VariantOutcome, PARALLEL_BATCH, WARM_START_K,
+    check_coherence, region_hashes, ApplyError, LocusSystem, Prepared, StoreHandle, TuneRequest,
+    TuneResult, VariantOutcome, PARALLEL_BATCH, WARM_START_K,
 };

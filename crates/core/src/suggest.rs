@@ -267,9 +267,8 @@ mod tests {
             locus_machine::MachineConfig::scaled_small().with_cores(1),
         ));
         let mut search = locus_search::BanditTuner::new(5);
-        let result = system
-            .tune(&program, &locus_program, &mut search, 8)
-            .unwrap();
+        let request = crate::system::TuneRequest::new(&program, &locus_program, 8);
+        let (result, _) = system.run(request, &mut search).unwrap();
         assert!(result.best.is_some());
     }
 

@@ -18,18 +18,19 @@ use locus_trace::{kv, Tracer};
 
 use locus_store::{EvalRecord, PruneRecord, SessionRecord, ShardedStore, StoreKey, TuningStore};
 
-use crate::memo::{MemoCache, MemoStats};
+use crate::memo::MemoCache;
 use crate::registry::{is_query, run_query, RegionHost};
 use crate::report::TuneReport;
 
-/// Number of proposals drawn per batch by the parallel engine. Fixed —
+/// Number of proposals a [`TuneRequest::parallel`] session draws per
+/// batch (a sequential [`TuneRequest::new`] session draws one). Fixed —
 /// independent of the worker count — so a run's proposal stream, and
 /// with it the tuning result, is identical for 1, 2 or 8 threads.
 ///
 /// Defined as [`locus_search::OBSERVATION_BLOCK`]: the block-buffering
 /// modules (MCTS, the trace sampler) integrate observations at exactly
 /// this granularity, which makes their proposal streams bit-identical
-/// between the sequential and the batch-parallel drivers.
+/// between sequential and parallel requests.
 pub const PARALLEL_BATCH: usize = locus_search::OBSERVATION_BLOCK;
 
 /// How many prior points a store-backed session feeds to
@@ -190,6 +191,127 @@ impl TuneResult {
     }
 }
 
+/// One tuning session for [`LocusSystem::run`]: what to tune, for how
+/// many evaluations, and the optional parts it runs with — a worker
+/// pool, a caller-owned memo, a persistent store, a tracer.
+pub struct TuneRequest<'a> {
+    source: &'a Program,
+    locus: &'a LocusProgram,
+    budget: usize,
+    threads: usize,
+    batch_size: usize,
+    cache: Option<&'a MemoCache>,
+    store: Option<StoreHandle<'a>>,
+    tracer: Option<&'a Tracer>,
+}
+
+impl<'a> TuneRequest<'a> {
+    /// The paper's one-at-a-time search loop (Fig. 2, bottom) over
+    /// `source` under `locus` for `budget` evaluations: batches of one
+    /// point on the calling thread, a fresh session memo, no store, no
+    /// tracing. [`SearchModule::search`] runs the same protocol without
+    /// the driver's memo, pruning and accounting.
+    pub fn new(source: &'a Program, locus: &'a LocusProgram, budget: usize) -> TuneRequest<'a> {
+        TuneRequest {
+            source,
+            locus,
+            budget,
+            threads: 1,
+            batch_size: 1,
+            cache: None,
+            store: None,
+            tracer: None,
+        }
+    }
+
+    /// Switches to batches of [`PARALLEL_BATCH`] proposals, measured by
+    /// `threads` workers (the calling thread is one of them).
+    pub fn parallel(mut self, threads: usize) -> TuneRequest<'a> {
+        self.threads = threads;
+        self.batch_size = PARALLEL_BATCH;
+        self
+    }
+
+    /// Runs against a caller-owned [`MemoCache`], so several sessions —
+    /// different search modules or seeds over the same source and
+    /// machine — share measurements: a variant assessed by any earlier
+    /// session is never measured again (the OpenTuner-memoization effect
+    /// the paper credits in Sec. IV-B). The session's
+    /// [`TuneReport::memo`] then reports the cache's cumulative counters.
+    ///
+    /// Cache entries record objectives of *one* machine; sharing a cache
+    /// between systems with different machine configurations would
+    /// return stale measurements. Use one cache per (source, machine)
+    /// pair.
+    pub fn cache(mut self, cache: &'a MemoCache) -> TuneRequest<'a> {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// Runs against a persistent store, closing the loop the paper opens
+    /// in Sec. II (shipping tuning results for reuse). Before the search
+    /// starts the driver:
+    ///
+    /// 1. **checks coherence** — store entries recorded for region
+    ///    contents that have since been edited are invalidated
+    ///    ([`TuningStore::invalidate_stale`]); entries of unchanged
+    ///    sibling regions stay live;
+    /// 2. **rehydrates** the session's [`MemoCache`] with every prior
+    ///    evaluation of this exact `(regions, machine, space)` context,
+    ///    so previously assessed proposals are answered from disk — a
+    ///    repeat session over unchanged code re-measures nothing;
+    /// 3. **warm-starts** the search module with the store's
+    ///    [`WARM_START_K`] best prior points via
+    ///    [`SearchModule::seed_observations`].
+    ///
+    /// Every fresh measurement is appended to the store — as is every
+    /// *prune* (a point the static safety verifier refused before
+    /// simulation), so warm sessions replay refusals from disk — along
+    /// with a session summary (region profile, winning point, and the
+    /// direct recipe it denotes) that
+    /// [`crate::suggest::suggest_with_store`] retrieves for structurally
+    /// similar regions. Prior points are fed best-first with
+    /// canonical-key tie-breaks and objectives are persisted bit-exactly,
+    /// so the same store contents plus the same search seed reproduce
+    /// the same trajectory and the same best point, whichever kind of
+    /// [`StoreHandle`] holds them.
+    ///
+    /// A [`StoreHandle::Sharded`] store is taken by `&`, so any number of
+    /// concurrent sessions — the `locusd` daemon's workers — share one;
+    /// each locks only the stripe holding its own `(regions, machine,
+    /// space)` records, and the batch loop in between holds no store
+    /// lock at all.
+    pub fn store(mut self, store: StoreHandle<'a>) -> TuneRequest<'a> {
+        self.store = Some(store);
+        self
+    }
+
+    /// Records the session into `tracer`. When it is enabled the driver
+    /// emits, into it:
+    ///
+    /// * `phase` spans bracketing every pipeline stage — prepare,
+    ///   baseline, store rehydration, warm start, and per batch the
+    ///   propose / build-verify / measure / merge stages, then
+    ///   finalize-best and store-append;
+    /// * one `eval` instant event per merged proposal, carrying the
+    ///   point's canonical key, its variant digest, where the objective
+    ///   came from (fresh measurement, session memo, store, coalesced,
+    ///   pruned), the verdict and the measured milliseconds;
+    /// * `verify` events for every statically pruned point (with the
+    ///   verifier's reason), `machine` spans from the workers (merged
+    ///   deterministically in evaluation-slot order), `search` events
+    ///   from the module's own decisions, and a final `session` summary
+    ///   with the complete [`TuneReport`] accounting.
+    ///
+    /// Tracing is observation-only: for the same inputs the returned
+    /// [`TuneResult`] is bit-identical whether the tracer is enabled,
+    /// disabled, or absent (asserted by the parallel determinism suite).
+    pub fn tracer(mut self, tracer: &'a Tracer) -> TuneRequest<'a> {
+        self.tracer = Some(tracer);
+        self
+    }
+}
+
 /// The Locus system: a simulated machine plus orchestration policy.
 #[derive(Debug, Clone)]
 pub struct LocusSystem {
@@ -290,8 +412,8 @@ impl LocusSystem {
 
     /// A [`locus_search::LegalityOracle`] over this system: `true` iff
     /// the point decodes and passes verification (`verify::legal`).
-    /// Both tuning drivers attach the same oracle on every path, so
-    /// pruning-aware modules behave identically under each; the oracle
+    /// [`LocusSystem::run`] attaches the same oracle on every path, so
+    /// pruning-aware modules behave the same under any request; the oracle
     /// is an optimization hook only — a module must also cope with
     /// `Objective::Invalid` feedback for points that slip through.
     fn legality_oracle(
@@ -442,315 +564,6 @@ impl LocusSystem {
         }
     }
 
-    /// The search workflow (Fig. 2, bottom): converts the space, drives
-    /// the search module for `budget` evaluations, and returns the best
-    /// variant together with the baseline measurement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
-    pub fn tune(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-    ) -> Result<TuneResult, ApplyError> {
-        let prepared = self.prepare(source, locus)?;
-        let baseline = self
-            .measure(source)
-            .map_err(|e| ApplyError::Locus(format!("baseline run failed: {e}")))?;
-        let expected = baseline.checksum;
-
-        search.attach_pruner(&self.legality_oracle(source, &prepared));
-        let mut evaluate = |point: &Point| -> Objective {
-            match self.evaluate_point(source, &prepared, point, Some(expected)) {
-                VariantOutcome::Measured(boxed) => Objective::Value(boxed.1.time_ms),
-                // Statically refused points are invalid like
-                // constraint-violating ones: the search skips them.
-                VariantOutcome::Invalid(_) | VariantOutcome::Illegal(_) => Objective::Invalid,
-                VariantOutcome::Failed(_) => Objective::Error,
-            }
-        };
-        let outcome = search.search(&prepared.space, budget, &mut evaluate);
-
-        let best = outcome.best.clone().and_then(|(point, _)| {
-            match self.evaluate_point(source, &prepared, &point, Some(expected)) {
-                VariantOutcome::Measured(boxed) => {
-                    let (program, m) = *boxed;
-                    Some((point, program, m))
-                }
-                _ => None,
-            }
-        });
-
-        Ok(TuneResult {
-            outcome,
-            baseline,
-            best,
-            space_size: prepared.space.size(),
-        })
-    }
-
-    /// The parallel search workflow: like [`LocusSystem::tune`], but
-    /// each batch of proposals is evaluated by a pool of `threads`
-    /// worker threads sharing a two-level [`MemoCache`], so duplicate
-    /// points — and distinct points denoting the *same* variant — are
-    /// measured exactly once.
-    ///
-    /// Determinism: proposals are drawn in batches of
-    /// [`PARALLEL_BATCH`] regardless of `threads`, workers only compute
-    /// objectives (the simulated machine is deterministic), and results
-    /// are merged back in proposal order through the same
-    /// [`locus_search::Bookkeeper`] the sequential driver uses. For
-    /// search modules whose proposals do not depend on observations
-    /// (exhaustive, seeded random) the outcome is bit-identical to
-    /// [`LocusSystem::tune`]; for every module it is bit-identical
-    /// across thread counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
-    pub fn tune_parallel(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-    ) -> Result<TuneResult, ApplyError> {
-        self.tune_parallel_with_cache(source, locus, search, budget, threads)
-            .map(|(result, _)| result)
-    }
-
-    /// [`LocusSystem::tune_parallel`], additionally reporting the memo
-    /// cache statistics of the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
-    pub fn tune_parallel_with_cache(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-    ) -> Result<(TuneResult, MemoStats), ApplyError> {
-        let cache = MemoCache::new();
-        let result = self.tune_parallel_shared(source, locus, search, budget, threads, &cache)?;
-        Ok((result, cache.stats()))
-    }
-
-    /// [`LocusSystem::tune_parallel`] returning the full session
-    /// [`TuneReport`] — most importantly
-    /// [`TuneReport::pruned_illegal`], the number of proposals the
-    /// static safety verifier rejected *before* simulation. Store-less
-    /// sessions that want pruning visibility use this; store-backed
-    /// ones get the same report from
-    /// [`LocusSystem::tune_parallel_with_store`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
-    pub fn tune_parallel_with_report(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-    ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        let cache = MemoCache::new();
-        self.tune_parallel_driver(
-            source,
-            locus,
-            search,
-            budget,
-            threads,
-            &cache,
-            None,
-            &Tracer::disabled(),
-        )
-    }
-
-    /// [`LocusSystem::tune_parallel_with_report`] with a
-    /// [`locus_trace::Tracer`] attached. When the tracer is enabled the
-    /// driver emits, into it:
-    ///
-    /// * `phase` spans bracketing every pipeline stage — prepare,
-    ///   baseline, store rehydration, warm start, and per batch the
-    ///   propose / build-verify / measure / merge stages, then
-    ///   finalize-best and store-append;
-    /// * one `eval` instant event per merged proposal, carrying the
-    ///   point's canonical key, its variant digest, where the objective
-    ///   came from (fresh measurement, session memo, store, coalesced,
-    ///   pruned), the verdict and the measured milliseconds;
-    /// * `verify` events for every statically pruned point (with the
-    ///   verifier's reason), `machine` spans from the worker threads
-    ///   (merged deterministically in evaluation-slot order), `search`
-    ///   events from the module's own decisions, and a final `session`
-    ///   summary with the complete [`TuneReport`] accounting.
-    ///
-    /// Tracing is observation-only: for the same inputs the returned
-    /// [`TuneResult`] is bit-identical whether the tracer is enabled,
-    /// disabled, or absent (asserted by the parallel determinism suite).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
-    pub fn tune_parallel_with_tracer(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        tracer: &Tracer,
-    ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        let cache = MemoCache::new();
-        self.tune_parallel_driver(source, locus, search, budget, threads, &cache, None, tracer)
-    }
-
-    /// The store-backed search workflow: [`LocusSystem::tune_parallel`]
-    /// against a persistent [`TuningStore`], closing the loop the paper
-    /// opens in Sec. II (shipping tuning results for reuse). Before the
-    /// search starts the driver:
-    ///
-    /// 1. **checks coherence** — store entries recorded for region
-    ///    contents that have since been edited are invalidated
-    ///    ([`TuningStore::invalidate_stale`]); entries of unchanged
-    ///    sibling regions stay live;
-    /// 2. **rehydrates** the session's [`MemoCache`] with every prior
-    ///    evaluation of this exact `(regions, machine, space)` context,
-    ///    so previously assessed proposals are answered from disk — a
-    ///    repeat session over unchanged code re-measures nothing;
-    /// 3. **warm-starts** the search module with the store's
-    ///    [`WARM_START_K`] best prior points via
-    ///    [`SearchModule::seed_observations`].
-    ///
-    /// Every fresh measurement is appended to the store — as is every
-    /// *prune* (a point the static safety verifier refused before
-    /// simulation), so warm sessions replay refusals from disk — along
-    /// with a session summary (region profile, winning point, and the
-    /// direct recipe it denotes) that
-    /// [`crate::suggest::suggest_with_store`] retrieves for structurally
-    /// similar regions.
-    ///
-    /// Determinism: prior points are fed best-first with canonical-key
-    /// tie-breaks and objectives are persisted bit-exactly, so the same
-    /// store file plus the same search seed reproduce the same
-    /// trajectory and the same best point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails, the baseline
-    /// cannot be measured, or ([`ApplyError::Store`]) the store cannot
-    /// be written.
-    pub fn tune_parallel_with_store(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        store: &mut TuningStore,
-    ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        let cache = MemoCache::new();
-        self.tune_parallel_driver(
-            source,
-            locus,
-            search,
-            budget,
-            threads,
-            &cache,
-            Some(StoreHandle::Single(store)),
-            &Tracer::disabled(),
-        )
-    }
-
-    /// [`LocusSystem::tune_parallel_with_store`] against the shared
-    /// lock-striped [`ShardedStore`] of a tuning service: the store is
-    /// taken by `&self`, so any number of concurrent sessions — the
-    /// `locusd` daemon's worker threads — run against one process-wide
-    /// store at once. Each session locks only the stripe holding its
-    /// own `(regions, machine, space)` records, during rehydration,
-    /// warm start and append-back; the batch loop in between holds no
-    /// store lock at all.
-    ///
-    /// For the same inputs over the same store contents, the result is
-    /// bit-identical to the single-store path — the driver behind both
-    /// is the same, only the handle differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails, the baseline
-    /// cannot be measured, or ([`ApplyError::Store`]) a shard cannot be
-    /// written.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tune_parallel_with_sharded_store(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        store: &ShardedStore,
-        tracer: &Tracer,
-    ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        let cache = MemoCache::new();
-        self.tune_parallel_driver(
-            source,
-            locus,
-            search,
-            budget,
-            threads,
-            &cache,
-            Some(StoreHandle::Sharded(store)),
-            tracer,
-        )
-    }
-
-    /// [`LocusSystem::tune_parallel_with_store`] with a
-    /// [`locus_trace::Tracer`] attached — the store workflow's analogue
-    /// of [`LocusSystem::tune_parallel_with_tracer`], emitting the same
-    /// phase spans and per-evaluation events plus the store rehydration
-    /// and append-back stages.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] when preparation fails, the baseline
-    /// cannot be measured, or ([`ApplyError::Store`]) the store cannot
-    /// be written.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tune_parallel_with_store_and_tracer(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        store: &mut TuningStore,
-        tracer: &Tracer,
-    ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        let cache = MemoCache::new();
-        self.tune_parallel_driver(
-            source,
-            locus,
-            search,
-            budget,
-            threads,
-            &cache,
-            Some(StoreHandle::Single(store)),
-            tracer,
-        )
-    }
-
     /// The [`StoreKey`] a tuning session of `source` under `prepared`
     /// files its records under: the hashes of the regions the program
     /// actually matches, plus machine and space digests.
@@ -766,61 +579,85 @@ impl LocusSystem {
         )
     }
 
-    /// [`LocusSystem::tune_parallel`] against a caller-owned
-    /// [`MemoCache`], so several tuning runs of one session — different
-    /// search modules or seeds over the same source and machine — share
-    /// measurements: a variant assessed by any earlier run is never
-    /// measured again (the OpenTuner-memoization effect the paper
-    /// credits in Sec. IV-B).
+    /// [`LocusSystem::run`] with a single-file store and a tracer, kept
+    /// only because the benchmark harness calls it by name
+    /// (`perfbench/src/dgemm.rs`). Workspace code calls `run`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tune_parallel_with_store_and_tracer(
+        &self,
+        source: &Program,
+        locus: &LocusProgram,
+        search: &mut dyn SearchModule,
+        budget: usize,
+        threads: usize,
+        store: &mut TuningStore,
+        tracer: &Tracer,
+    ) -> Result<(TuneResult, TuneReport), ApplyError> {
+        let store = StoreHandle::Single(store);
+        let request = TuneRequest::new(source, locus, budget).parallel(threads);
+        self.run(request.store(store).tracer(tracer), search)
+    }
+
+    /// [`LocusSystem::run`] with a sharded store and a tracer, kept only
+    /// because the benchmark harness calls it by name
+    /// (`perfbench/src/service.rs`). Workspace code, the daemon
+    /// included, calls `run`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tune_parallel_with_sharded_store(
+        &self,
+        source: &Program,
+        locus: &LocusProgram,
+        search: &mut dyn SearchModule,
+        budget: usize,
+        threads: usize,
+        store: &ShardedStore,
+        tracer: &Tracer,
+    ) -> Result<(TuneResult, TuneReport), ApplyError> {
+        let store = StoreHandle::Sharded(store);
+        let request = TuneRequest::new(source, locus, budget).parallel(threads);
+        self.run(request.store(store).tracer(tracer), search)
+    }
+
+    /// The search workflow (Fig. 2, bottom): converts the space, drives
+    /// the search module for the request's budget of evaluations, and
+    /// returns the best variant together with the baseline measurement
+    /// and the session's [`TuneReport`] — most importantly
+    /// [`TuneReport::pruned_illegal`], the number of proposals the
+    /// static safety verifier rejected *before* simulation.
     ///
-    /// Cache entries record objectives of *this* system's machine;
-    /// sharing a cache between systems with different machine
-    /// configurations would return stale measurements. Use one cache per
-    /// (source, machine) pair.
+    /// Proposals are drawn in batches (one point for a sequential
+    /// request, [`PARALLEL_BATCH`] for a [`TuneRequest::parallel`] one)
+    /// and resolved against a two-level [`MemoCache`], so duplicate
+    /// points — and distinct points denoting the *same* variant — are
+    /// measured exactly once. New variants are built on the calling
+    /// thread and measured by the request's workers.
+    ///
+    /// Determinism: the batch size does not depend on the worker count,
+    /// workers only compute objectives (the simulated machine is
+    /// deterministic), and results are merged back in proposal order
+    /// through a [`locus_search::Bookkeeper`]. For search modules whose
+    /// proposals do not depend on observations (exhaustive, seeded
+    /// random) a parallel request is bit-identical to a sequential one;
+    /// for every module it is bit-identical across thread counts.
     ///
     /// # Errors
     ///
-    /// Returns [`ApplyError`] when preparation fails or the baseline
-    /// cannot be measured.
-    pub fn tune_parallel_shared(
+    /// Returns [`ApplyError`] when preparation fails, the baseline
+    /// cannot be measured, or ([`ApplyError::Store`]) the store cannot
+    /// be written.
+    pub fn run(
         &self,
-        source: &Program,
-        locus: &LocusProgram,
+        request: TuneRequest<'_>,
         search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        cache: &MemoCache,
-    ) -> Result<TuneResult, ApplyError> {
-        self.tune_parallel_driver(
-            source,
-            locus,
-            search,
-            budget,
-            threads,
-            cache,
-            None,
-            &Tracer::disabled(),
-        )
-        .map(|(result, _)| result)
-    }
-
-    /// The shared parallel driver behind every `tune_parallel*` entry
-    /// point. With a store, the session is bracketed by rehydration /
-    /// warm-start on the way in and append-back on the way out; the
-    /// batch loop itself is identical either way.
-    #[allow(clippy::too_many_arguments)]
-    fn tune_parallel_driver(
-        &self,
-        source: &Program,
-        locus: &LocusProgram,
-        search: &mut dyn SearchModule,
-        budget: usize,
-        threads: usize,
-        cache: &MemoCache,
-        mut store: Option<StoreHandle<'_>>,
-        tracer: &Tracer,
     ) -> Result<(TuneResult, TuneReport), ApplyError> {
         use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let (source, locus, budget) = (request.source, request.locus, request.budget);
+        let mut store = request.store;
+        let session_cache = MemoCache::new();
+        let cache = request.cache.unwrap_or(&session_cache);
+        let disabled = Tracer::disabled();
+        let tracer = request.tracer.unwrap_or(&disabled);
 
         let prepared = {
             let _span = tracer.span("phase", "prepare");
@@ -832,7 +669,7 @@ impl LocusSystem {
                 .map_err(|e| ApplyError::Locus(format!("baseline run failed: {e}")))?
         };
         let expected = baseline.checksum;
-        let threads = threads.max(1);
+        let threads = request.threads.max(1);
         let mut report = TuneReport::default();
 
         // Store session prologue: coherence check, cache rehydration.
@@ -888,7 +725,7 @@ impl LocusSystem {
         'driver: while !book.done() {
             let batch = {
                 let _span = tracer.span("phase", "propose");
-                search.propose_batch(&prepared.space, PARALLEL_BATCH)
+                search.propose_batch(&prepared.space, request.batch_size)
             };
             if batch.is_empty() {
                 break;
@@ -996,11 +833,12 @@ impl LocusSystem {
             }
             drop(build_span);
 
-            // Fan the fresh measurements out over the worker pool. Each
-            // worker owns a clone of the system (and thus the machine);
-            // an atomic cursor deals work out. Workers only *measure* —
-            // every program handed to them was built (and statically
-            // vetted) on the main thread above.
+            // Fan the fresh measurements out over the worker pool: the
+            // calling thread plus `threads - 1` scoped helpers, all
+            // borrowing this system (and thus the machine); an atomic
+            // cursor deals work out. Workers only *measure* — every
+            // program handed to them was built (and statically vetted)
+            // on the calling thread above.
             if !to_measure.is_empty() {
                 let _span = tracer.span("phase", "measure");
                 let work = &to_measure;
@@ -1018,36 +856,37 @@ impl LocusSystem {
                     .map(|i| tracer.scoped(i as u64 + 1))
                     .collect();
                 let slot_tracers = &slot_tracers;
+                let worker = move || loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some((_, _, variant)) = work.get(i) else {
+                        break;
+                    };
+                    let start = std::time::Instant::now();
+                    let (objective, mut summary) =
+                        match variant.run_traced(self.machine.config(), &slot_tracers[i]) {
+                            Ok(m) if self.verify_results && m.checksum != expected => {
+                                (Objective::Error, MeasureSummary::default())
+                            }
+                            Ok(m) => (
+                                Objective::Value(m.time_ms),
+                                MeasureSummary {
+                                    cycles: m.cycles,
+                                    ops: m.ops,
+                                    flops: m.flops,
+                                    checksum: m.checksum,
+                                    wall_ms: 0.0,
+                                },
+                            ),
+                            Err(_) => (Objective::Error, MeasureSummary::default()),
+                        };
+                    summary.wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                    *results[i].lock().expect("result slot") = Some((objective, summary));
+                };
                 std::thread::scope(|scope| {
-                    for _ in 0..threads.min(work.len()) {
-                        let sys = self.clone();
-                        scope.spawn(move || loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((_, _, variant)) = work.get(i) else {
-                                break;
-                            };
-                            let start = std::time::Instant::now();
-                            let (objective, mut summary) =
-                                match variant.run_traced(sys.machine.config(), &slot_tracers[i]) {
-                                    Ok(m) if sys.verify_results && m.checksum != expected => {
-                                        (Objective::Error, MeasureSummary::default())
-                                    }
-                                    Ok(m) => (
-                                        Objective::Value(m.time_ms),
-                                        MeasureSummary {
-                                            cycles: m.cycles,
-                                            ops: m.ops,
-                                            flops: m.flops,
-                                            checksum: m.checksum,
-                                            wall_ms: 0.0,
-                                        },
-                                    ),
-                                    Err(_) => (Objective::Error, MeasureSummary::default()),
-                                };
-                            summary.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                            *results[i].lock().expect("result slot") = Some((objective, summary));
-                        });
+                    for _ in 1..threads.min(work.len()) {
+                        scope.spawn(worker);
                     }
+                    worker();
                 });
                 for slot in slot_tracers {
                     tracer.absorb(slot.drain());
@@ -1412,7 +1251,9 @@ mod tests {
         .unwrap();
         let sys = system();
         let mut search = BanditTuner::new(7);
-        let result = sys.tune(&source, &locus, &mut search, 12).unwrap();
+        let (result, _) = sys
+            .run(TuneRequest::new(&source, &locus, 12), &mut search)
+            .unwrap();
         assert_eq!(result.space_size, 27);
         let (_, _, best) = result.best.as_ref().expect("a best variant");
         assert_eq!(best.checksum, result.baseline.checksum);
@@ -1436,7 +1277,9 @@ mod tests {
         .unwrap();
         let sys = system();
         let mut search = locus_search::ExhaustiveSearch::default();
-        let result = sys.tune(&source, &locus, &mut search, 64).unwrap();
+        let (result, _) = sys
+            .run(TuneRequest::new(&source, &locus, 64), &mut search)
+            .unwrap();
         // 3x3 grid; points with tileI_2 > tileI are invalid.
         assert!(result.outcome.invalid > 0);
         assert!(result.best.is_some());
@@ -1463,7 +1306,9 @@ mod tests {
         // All six permutations of matmul are legal; exhaustively searching
         // them must yield six valid evaluations.
         let mut search = locus_search::ExhaustiveSearch::default();
-        let result = sys.tune(&source, &locus, &mut search, 10).unwrap();
+        let (result, _) = sys
+            .run(TuneRequest::new(&source, &locus, 10), &mut search)
+            .unwrap();
         assert_eq!(result.outcome.evaluations, 6);
     }
 
@@ -1502,42 +1347,44 @@ mod tests {
         ));
         std::fs::remove_file(&path).ok();
 
-        let (cold, cold_report) = {
+        let session = |threads: Option<usize>| {
             let mut store = TuningStore::open(&path).unwrap();
-            let mut search = locus_search::ExhaustiveSearch::default();
-            sys.tune_parallel_with_store(&source, &locus, &mut search, 8, 2, &mut store)
+            let mut request = TuneRequest::new(&source, &locus, 8);
+            if let Some(threads) = threads {
+                request = request.parallel(threads);
+            }
+            let request = request.store(StoreHandle::Single(&mut store));
+            sys.run(request, &mut locus_search::ExhaustiveSearch::default())
                 .unwrap()
         };
+        let (cold, cold_report) = session(Some(2));
         assert!(cold_report.evaluations() > 0);
         assert_eq!(cold_report.store_hits(), 0);
         assert_eq!(cold_report.appended, cold_report.evaluations());
 
-        // Re-open the file cold: a brand-new session must answer every
-        // proposal from disk.
-        let (warm, warm_report) = {
-            let mut store = TuningStore::open(&path).unwrap();
-            let mut search = locus_search::ExhaustiveSearch::default();
-            sys.tune_parallel_with_store(&source, &locus, &mut search, 8, 2, &mut store)
-                .unwrap()
-        };
-        assert_eq!(
-            warm_report.evaluations(),
-            0,
-            "warm session re-measures nothing"
-        );
-        assert_eq!(warm_report.store_hits(), cold_report.evaluations());
-        assert_eq!(warm_report.rehydrated, cold_report.appended);
-        assert_eq!(warm_report.appended, 0);
+        // Re-open the file cold: a brand-new session, parallel or
+        // sequential, must answer every proposal from disk.
+        for threads in [Some(2), None] {
+            let (warm, warm_report) = session(threads);
+            assert_eq!(
+                warm_report.evaluations(),
+                0,
+                "warm session re-measures nothing"
+            );
+            assert_eq!(warm_report.store_hits(), cold_report.evaluations());
+            assert_eq!(warm_report.rehydrated, cold_report.appended);
+            assert_eq!(warm_report.appended, 0);
 
-        let (cold_point, _, cold_m) = cold.best.as_ref().expect("cold best");
-        let (warm_point, _, warm_m) = warm.best.as_ref().expect("warm best");
-        assert_eq!(cold_point.canonical_key(), warm_point.canonical_key());
-        assert_eq!(cold_m.time_ms.to_bits(), warm_m.time_ms.to_bits());
-        assert_eq!(
-            cold.outcome.best.as_ref().unwrap().1.to_bits(),
-            warm.outcome.best.as_ref().unwrap().1.to_bits(),
-            "replayed objective is bit-identical"
-        );
+            let (cold_point, _, cold_m) = cold.best.as_ref().expect("cold best");
+            let (warm_point, _, warm_m) = warm.best.as_ref().expect("warm best");
+            assert_eq!(cold_point.canonical_key(), warm_point.canonical_key());
+            assert_eq!(cold_m.time_ms.to_bits(), warm_m.time_ms.to_bits());
+            assert_eq!(
+                cold.outcome.best.as_ref().unwrap().1.to_bits(),
+                warm.outcome.best.as_ref().unwrap().1.to_bits(),
+                "replayed objective is bit-identical"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1586,7 +1433,7 @@ mod tests {
     fn failed_variants_fall_back_to_baseline() {
         let source = parse_program(MATMUL_SRC).unwrap();
         // Interchange with an order that is not a permutation: every
-        // variant fails, yet tune still reports the baseline.
+        // variant fails, yet the session still reports the baseline.
         let locus = locus_lang::parse(
             r#"CodeReg matmul {
                 RoseLocus.Interchange(order=[0, 0, 1]);
@@ -1595,7 +1442,9 @@ mod tests {
         .unwrap();
         let sys = system();
         let mut search = locus_search::ExhaustiveSearch::default();
-        let result = sys.tune(&source, &locus, &mut search, 4).unwrap();
+        let (result, _) = sys
+            .run(TuneRequest::new(&source, &locus, 4), &mut search)
+            .unwrap();
         assert!(result.best.is_none());
         assert_eq!(result.speedup(), 1.0);
         assert!(result.baseline.cycles > 0.0);

@@ -25,19 +25,20 @@
 //! machine: [`SearchModule::begin`] resets it for a space and budget,
 //! [`SearchModule::propose_batch`] asks for up to `k` candidate points,
 //! and [`SearchModule::observe`] tells it the [`Objective`] of each
-//! proposal, in proposal order. The driver — sequential
-//! ([`SearchModule::search`], the default implementation, which drives
-//! batches of one) or parallel (`LocusSystem::tune_parallel` in the
-//! core crate, which fans a batch out over a worker pool behind a
-//! shared memo cache) — owns evaluation, de-duplication, best-so-far
-//! tracking and budget accounting through a [`Bookkeeper`].
+//! proposal, in proposal order. The driver — this crate's standalone
+//! [`SearchModule::search`] (the default implementation, which drives
+//! batches of one), or `LocusSystem::run` in the core crate (batches of
+//! one for a sequential request, or a fixed batch fanned out over a
+//! worker pool for a parallel one, behind a memo cache) — owns
+//! evaluation, de-duplication, best-so-far tracking and budget
+//! accounting through a [`Bookkeeper`].
 //!
 //! Because a `Bookkeeper` consumes results strictly in proposal order,
 //! any two drivers that feed the same proposal stream produce
 //! bit-identical [`SearchOutcome`]s; for modules whose proposals do not
 //! depend on observations (exhaustive enumeration, seeded random
-//! sampling) the parallel driver is therefore exactly equivalent to the
-//! sequential one, regardless of worker count.
+//! sampling) the parallel protocol is therefore exactly equivalent to
+//! the sequential one, regardless of worker count.
 //!
 //! Points may be rejected as [`Objective::Invalid`] — e.g. when a
 //! dependent-range constraint such as `tileI_2 <= tileI` fails
@@ -73,13 +74,13 @@ use locus_space::{Point, Space};
 /// [`SearchModule::observe`] calls and integrate them into their
 /// sampling state only once a full block has arrived.
 ///
-/// The parallel driver proposes in batches of exactly this size (its
-/// `PARALLEL_BATCH` is defined as this constant), so a module that
-/// updates on block boundaries sees the *same* integrated state before
-/// every proposal whether it is driven one-point-at-a-time (the
-/// sequential default [`SearchModule::search`]) or a whole batch ahead
-/// of its observations — which is what makes those modules bit-identical
-/// under both drivers at any worker count.
+/// A parallel request to the core driver proposes in batches of exactly
+/// this size (its `PARALLEL_BATCH` is defined as this constant), so a
+/// module that updates on block boundaries sees the *same* integrated
+/// state before every proposal whether it is driven one point at a time
+/// (a sequential request, or [`SearchModule::search`]) or a whole batch
+/// ahead of its observations — which is what makes those modules
+/// bit-identical under both protocols at any worker count.
 pub const OBSERVATION_BLOCK: usize = 16;
 
 /// A legality oracle a driver can attach to a module via
@@ -225,7 +226,10 @@ pub trait SearchModule {
 
     /// Runs the search sequentially: the classic evaluate-one-point-at-
     /// a-time workflow of Fig. 2 (bottom), implemented as the batch
-    /// protocol with `k = 1`.
+    /// protocol with `k = 1`. This is the search crate's standalone
+    /// driver over any `evaluate` closure; `LocusSystem::run` in the
+    /// core crate runs the same `k = 1` protocol for a sequential
+    /// request, adding its memo cache, pruning and accounting.
     fn search(
         &mut self,
         space: &Space,
@@ -248,8 +252,8 @@ pub trait SearchModule {
     }
 }
 
-/// Driver-side evaluation bookkeeping shared by the sequential default
-/// driver and the parallel engine in the core crate: memoized dedup,
+/// Driver-side evaluation bookkeeping shared by the standalone default
+/// driver and `LocusSystem::run` in the core crate: memoized dedup,
 /// budget accounting, best tracking and history recording.
 ///
 /// The bookkeeper consumes proposals **in proposal order**; equal

@@ -12,7 +12,7 @@
 //! through an avalanching bit-mixer. It passes BigCrush, has a full
 //! 2^64 period, and — the property this workspace actually relies on —
 //! is exactly reproducible from a seed on every platform, which is what
-//! makes seeded searches and `tune_parallel` determinism testable.
+//! makes seeded searches and parallel-tuning determinism testable.
 
 /// A deterministic SplitMix64 pseudo-random number generator.
 #[derive(Debug, Clone, PartialEq, Eq)]

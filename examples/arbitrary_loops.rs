@@ -7,7 +7,7 @@
 
 use locus::machine::{Machine, MachineConfig};
 use locus::search::BanditTuner;
-use locus::system::{check_coherence, region_hashes, LocusSystem};
+use locus::system::{check_coherence, region_hashes, LocusSystem, TuneRequest};
 
 const FIG13: &str = r#"
 CodeReg scop {
@@ -48,8 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("nest                        depth perfect affine  space   best speedup");
     for nest in locus::corpus::generate_corpus(2026, 1).into_iter().take(8) {
         let mut search = BanditTuner::new(7);
-        match system.tune(&nest.program, &locus_program, &mut search, 10) {
-            Ok(result) => println!(
+        match system.run(
+            TuneRequest::new(&nest.program, &locus_program, 10),
+            &mut search,
+        ) {
+            Ok((result, _)) => println!(
                 "{:<27} {:>5} {:>7} {:>6} {:>6}  {:>6.2}x",
                 nest.name,
                 nest.depth,

@@ -6,7 +6,7 @@
 
 use locus::machine::{Machine, MachineConfig};
 use locus::search::BanditTuner;
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, TuneRequest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 48;
@@ -46,7 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget = 40;
     println!("searching {budget} of the space's variants with the bandit ensemble...");
     let mut search = BanditTuner::new(42);
-    let result = system.tune(&source, &locus_program, &mut search, budget)?;
+    let request = TuneRequest::new(&source, &locus_program, budget);
+    let (result, _) = system.run(request, &mut search)?;
 
     println!("space size      : {} variants", result.space_size);
     println!(

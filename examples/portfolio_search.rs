@@ -11,7 +11,7 @@ use locus::machine::{Machine, MachineConfig};
 use locus::search::{
     AnnealTuner, BanditTuner, MctsTuner, PortfolioSearch, RandomSearch, SearchModule, TraceSampler,
 };
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, TuneRequest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = locus::corpus::dgemm_program(48);
@@ -35,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budget = 30;
     println!("module                      speedup  evals  dups");
     let run = |name: &str, search: &mut dyn SearchModule| {
-        let result = system
-            .tune(&source, &locus_program, search, budget)
+        let (result, _) = system
+            .run(TuneRequest::new(&source, &locus_program, budget), search)
             .expect("tuning runs");
         println!(
             "{name:<27} {:>6.2}x  {:>5}  {:>4}",

@@ -7,7 +7,7 @@
 use locus::corpus::{stencil_program, Stencil};
 use locus::machine::{Machine, MachineConfig};
 use locus::search::ExhaustiveSearch;
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, TuneRequest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = stencil_program(Stencil::Heat2d, 48, 8);
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let system = LocusSystem::new(Machine::new(MachineConfig::scaled_small()));
     let mut search = ExhaustiveSearch::default();
-    let result = system.tune(&source, &locus_program, &mut search, 8)?;
+    let (result, _) = system.run(TuneRequest::new(&source, &locus_program, 8), &mut search)?;
 
     println!(
         "skew factors tried: {} (space size {})",

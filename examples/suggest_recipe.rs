@@ -7,7 +7,7 @@
 use locus::machine::{Machine, MachineConfig};
 use locus::search::BanditTuner;
 use locus::srcir::region::{extract_region, find_regions};
-use locus::system::{suggest_program, LocusSystem};
+use locus::system::{suggest_program, LocusSystem, TuneRequest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, src) in [
@@ -43,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let locus_program = locus::lang::parse(&recipe)?;
         let system = LocusSystem::new(Machine::new(MachineConfig::scaled_small()));
         let mut search = BanditTuner::new(1);
-        let result = system.tune(&program, &locus_program, &mut search, 12)?;
+        let request = TuneRequest::new(&program, &locus_program, 12);
+        let (result, _) = system.run(request, &mut search)?;
         println!(
             "tuned: space {} variants, {} evaluated, speedup {:.2}x\n",
             result.space_size,

@@ -9,7 +9,7 @@
 
 use locus::machine::{Machine, MachineConfig};
 use locus::search::BanditTuner;
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, TuneRequest};
 use locus::trace::Tracer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,8 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let system = LocusSystem::new(Machine::new(MachineConfig::scaled_small().with_cores(4)));
     let tracer = Tracer::enabled();
     let mut search = BanditTuner::new(42);
-    let (result, report) =
-        system.tune_parallel_with_tracer(&source, &locus_program, &mut search, 24, 4, &tracer)?;
+    let request = TuneRequest::new(&source, &locus_program, 24)
+        .parallel(4)
+        .tracer(&tracer);
+    let (result, report) = system.run(request, &mut search)?;
 
     println!(
         "tuned: baseline {:.3} ms, speedup {:.2}x, {} evaluations ({} proposals)",

@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo build --release --offline --workspace
+# The benchmark harness in perfbench/ is a workspace of its own, so the
+# build above never compiles it. It calls two tuning entry points by
+# name — LocusSystem::tune_parallel_with_store_and_tracer and
+# LocusSystem::tune_parallel_with_sharded_store — and a core API change
+# that breaks them must fail here, not at benchmark time.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --workspace
 # The store round-trip named explicitly: write, drop, reopen, warm-start
 # to the identical best point with zero re-measurements.

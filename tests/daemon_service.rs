@@ -5,7 +5,7 @@
 //! * **bit-identity** — N concurrent clients tuning registry kernels
 //!   through the daemon get byte- and bit-identical results (best
 //!   point, best milliseconds as an exact `f64` bit pattern, checksum)
-//!   to direct `tune_parallel_with_store` library calls;
+//!   to direct `LocusSystem::run` library calls;
 //! * **fault isolation** — a deliberately poisoned request (the
 //!   `debug-panic` op) is answered with a structured `panic` error
 //!   while sibling requests on other connections complete normally and
@@ -29,7 +29,7 @@ use locus::machine::Machine;
 use locus::report::{check_trace, filter_request};
 use locus::search::SearchModule;
 use locus::store::TuningStore;
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, StoreHandle, TuneRequest};
 use locus::trace::{from_jsonl, Tracer};
 
 /// A fresh scratch directory for one test.
@@ -94,16 +94,11 @@ fn direct_result(
     let mut store =
         TuningStore::open(dir.join(format!("direct-{kernel}-{search_name}.jsonl"))).unwrap();
     let mut search = make_search(search_name, seed);
-    let (result, _report) = system
-        .tune_parallel_with_store(
-            &entry.program,
-            &entry.locus_program(),
-            search.as_mut(),
-            budget,
-            1,
-            &mut store,
-        )
-        .unwrap();
+    let locus = entry.locus_program();
+    let request = TuneRequest::new(&entry.program, &locus, budget)
+        .parallel(1)
+        .store(StoreHandle::Single(&mut store));
+    let (result, _report) = system.run(request, search.as_mut()).unwrap();
     let (point, _, measurement) = result.best.expect("registry kernels find a best variant");
     (
         point.canonical_key(),

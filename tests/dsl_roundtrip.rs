@@ -300,9 +300,8 @@ fn direct_programs_round_trip_during_tuning() {
 
     // And the direct program of an actual tuning winner.
     let mut search = locus::search::ExhaustiveSearch::default();
-    let result = system
-        .tune(&source, &locus_program, &mut search, 16)
-        .expect("tunes");
+    let request = locus::system::TuneRequest::new(&source, &locus_program, 16);
+    let (result, _) = system.run(request, &mut search).expect("tunes");
     if let Some((point, _, _)) = &result.best {
         let direct = system.direct_program(&prepared, point);
         let reparsed = locus::lang::parse(&direct).expect("winner direct program parses");

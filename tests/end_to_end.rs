@@ -3,7 +3,7 @@
 
 use locus::machine::{Machine, MachineConfig};
 use locus::search::{AnnealTuner, BanditTuner, ExhaustiveSearch, RandomSearch, SearchModule};
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, TuneRequest};
 
 fn small_machine(cores: usize) -> Machine {
     Machine::new(MachineConfig::scaled_small().with_cores(cores))
@@ -48,8 +48,8 @@ fn fig5_program_end_to_end() {
     assert_eq!(prepared.space.size(), 50);
 
     let mut search = ExhaustiveSearch::default();
-    let result = system
-        .tune(&source, &locus_program, &mut search, 64)
+    let (result, _) = system
+        .run(TuneRequest::new(&source, &locus_program, 64), &mut search)
         .unwrap();
     // Every assignment is a valid, correct variant.
     assert_eq!(result.outcome.evaluations, 50);
@@ -77,7 +77,8 @@ fn all_search_modules_tune_the_same_space() {
     ];
     let mut bests = Vec::new();
     for m in &mut modules {
-        let result = system.tune(&source, &locus_program, m.as_mut(), 8).unwrap();
+        let request = TuneRequest::new(&source, &locus_program, 8);
+        let (result, _) = system.run(request, m.as_mut()).unwrap();
         let (_, _, best) = result.best.expect("found a variant");
         bests.push(best.time_ms);
     }
@@ -114,8 +115,8 @@ fn variant_checksum_guard_rejects_wrong_code() {
     let mut system = LocusSystem::new(small_machine(1));
     system.check_legality = false; // expert override...
     let mut search = ExhaustiveSearch::default();
-    let result = system
-        .tune(&source, &locus_program, &mut search, 4)
+    let (result, _) = system
+        .run(TuneRequest::new(&source, &locus_program, 4), &mut search)
         .unwrap();
     // ...but the empirical result check catches the broken variant.
     assert!(result.best.is_none());
@@ -125,8 +126,8 @@ fn variant_checksum_guard_rejects_wrong_code() {
     let mut strict = LocusSystem::new(small_machine(1));
     strict.check_legality = true;
     let mut search = ExhaustiveSearch::default();
-    let result = strict
-        .tune(&source, &locus_program, &mut search, 4)
+    let (result, _) = strict
+        .run(TuneRequest::new(&source, &locus_program, 4), &mut search)
         .unwrap();
     assert!(result.best.is_none());
 }

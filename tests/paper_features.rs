@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use locus::machine::{Machine, MachineConfig};
 use locus::search::{BanditTuner, PortfolioSearch};
 use locus::space::Point;
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, TuneRequest};
 
 fn machine(cores: usize) -> Machine {
     Machine::new(MachineConfig::scaled_small().with_cores(cores))
@@ -29,8 +29,8 @@ fn shipped_direct_program_reproduces_the_tuned_variant() {
     .unwrap();
     let system = LocusSystem::new(machine(1));
     let mut search = BanditTuner::new(11);
-    let result = system
-        .tune(&source, &locus_program, &mut search, 12)
+    let (result, _) = system
+        .run(TuneRequest::new(&source, &locus_program, 12), &mut search)
         .unwrap();
     let (point, _, best_measurement) = result.best.expect("found a variant");
 
@@ -172,8 +172,8 @@ fn portfolio_search_drives_the_full_system() {
     .unwrap();
     let system = LocusSystem::new(machine(1));
     let mut search = PortfolioSearch::new(3);
-    let result = system
-        .tune(&source, &locus_program, &mut search, 4)
+    let (result, _) = system
+        .run(TuneRequest::new(&source, &locus_program, 4), &mut search)
         .unwrap();
     assert_eq!(result.outcome.evaluations, 4, "whole 4-point space covered");
     assert!(result.best.is_some());
@@ -293,8 +293,8 @@ fn fusion_or_distribution_is_searchable() {
     .unwrap();
     let system = LocusSystem::new(machine(1));
     let mut search = locus::search::ExhaustiveSearch::default();
-    let result = system
-        .tune(&source, &locus_program, &mut search, 4)
+    let (result, _) = system
+        .run(TuneRequest::new(&source, &locus_program, 4), &mut search)
         .unwrap();
     assert_eq!(result.outcome.evaluations, 2);
     assert!(result.best.is_some());

@@ -1,21 +1,40 @@
-//! The contract of the parallel engine ([`LocusSystem::tune_parallel`]):
-//! batched, multi-threaded variant evaluation with a shared memo cache
-//! returns the *same* best point, best objective, and evaluation count
-//! as the sequential driver, for any thread count.
+//! The contract of the tuning driver ([`LocusSystem::run`]): a parallel
+//! request — batched, multi-threaded variant evaluation with a shared
+//! memo cache — returns the *same* best point, best objective, and
+//! evaluation count at any thread count, and the same as a sequential
+//! request (batches of one) for observation-independent and
+//! block-buffering modules. Sequential trajectories of the adaptive
+//! modules are pinned by a recorded fixture.
 //!
 //! Why this holds: proposals are consumed in proposal order through the
-//! shared `Bookkeeper`, the batch size is fixed (16) regardless of the
-//! thread count, and threads only race on *measuring* — the merge loop
-//! that feeds observations back to the search module is sequential and
-//! deterministic.
+//! shared `Bookkeeper`, the parallel batch size is fixed (16) regardless
+//! of the thread count, and threads only race on *measuring* — the merge
+//! loop that feeds observations back to the search module is sequential
+//! and deterministic.
 
 use locus::corpus::dgemm_program;
+use locus::lang::LocusProgram;
 use locus::machine::{Machine, MachineConfig};
 use locus::search::{ExhaustiveSearch, RandomSearch, SearchModule};
-use locus::system::LocusSystem;
+use locus::srcir::ast::Program;
+use locus::system::{LocusSystem, StoreHandle, TuneRequest};
 
 fn tiny_system(cores: usize) -> LocusSystem {
     LocusSystem::new(Machine::new(MachineConfig::scaled_tiny().with_cores(cores)))
+}
+
+/// A sequential request for `threads == None`, a parallel one otherwise.
+fn tune_request<'a>(
+    source: &'a Program,
+    locus: &'a LocusProgram,
+    budget: usize,
+    threads: Option<usize>,
+) -> TuneRequest<'a> {
+    let request = TuneRequest::new(source, locus, budget);
+    match threads {
+        Some(threads) => request.parallel(threads),
+        None => request,
+    }
 }
 
 /// A small but non-trivial space: the Fig. 7 program with tiles capped
@@ -41,8 +60,8 @@ fn fingerprint(result: &locus::system::TuneResult) -> Fingerprint {
     }
 }
 
-/// `tune_parallel` with 1, 2, and 8 threads is bit-identical to the
-/// sequential `tune` under exhaustive search.
+/// A parallel request with 1, 2, and 8 threads is bit-identical to a
+/// sequential one under exhaustive search.
 #[test]
 fn parallel_matches_sequential_exhaustive() {
     let source = dgemm_program(8);
@@ -51,15 +70,15 @@ fn parallel_matches_sequential_exhaustive() {
     let budget = 48;
 
     let mut search = ExhaustiveSearch::default();
-    let sequential = system.tune(&source, &locus, &mut search, budget).unwrap();
+    let request = TuneRequest::new(&source, &locus, budget);
+    let (sequential, _) = system.run(request, &mut search).unwrap();
     let want = fingerprint(&sequential);
     assert!(sequential.best.is_some(), "sequential run found a variant");
 
     for threads in [1, 2, 8] {
         let mut search = ExhaustiveSearch::default();
-        let parallel = system
-            .tune_parallel(&source, &locus, &mut search, budget, threads)
-            .unwrap();
+        let request = TuneRequest::new(&source, &locus, budget).parallel(threads);
+        let (parallel, _) = system.run(request, &mut search).unwrap();
         assert_eq!(
             fingerprint(&parallel),
             want,
@@ -80,14 +99,14 @@ fn parallel_matches_sequential_random() {
     let seed = 0xdead;
 
     let mut search = RandomSearch::new(seed);
-    let sequential = system.tune(&source, &locus, &mut search, budget).unwrap();
+    let request = TuneRequest::new(&source, &locus, budget);
+    let (sequential, _) = system.run(request, &mut search).unwrap();
     let want = fingerprint(&sequential);
 
     for threads in [1, 2, 8] {
         let mut search = RandomSearch::new(seed);
-        let parallel = system
-            .tune_parallel(&source, &locus, &mut search, budget, threads)
-            .unwrap();
+        let request = TuneRequest::new(&source, &locus, budget).parallel(threads);
+        let (parallel, _) = system.run(request, &mut search).unwrap();
         assert_eq!(
             fingerprint(&parallel),
             want,
@@ -134,9 +153,8 @@ fn thread_count_is_invariant_for_adaptive_modules() {
         let mut reference: Option<Fingerprint> = None;
         for threads in [1, 2, 8] {
             let mut search = factory();
-            let result = system
-                .tune_parallel(&source, &locus, search.as_mut(), budget, threads)
-                .unwrap();
+            let request = TuneRequest::new(&source, &locus, budget).parallel(threads);
+            let (result, _) = system.run(request, search.as_mut()).unwrap();
             let fp = fingerprint(&result);
             match &reference {
                 None => reference = Some(fp),
@@ -151,8 +169,8 @@ fn thread_count_is_invariant_for_adaptive_modules() {
 
 /// Warm-start is deterministic: the same store file plus the same
 /// search seed reproduce the same trajectory — proposal history, best
-/// point and objective, bit for bit — and the warm replay of an
-/// unchanged source re-measures nothing.
+/// point and objective, bit for bit — for parallel sessions at any
+/// thread count and for sequential sessions alike.
 fn warm_start_roundtrip(module: &str, make: &dyn Fn() -> Box<dyn SearchModule>) {
     use locus::store::TuningStore;
 
@@ -170,56 +188,53 @@ fn warm_start_roundtrip(module: &str, make: &dyn Fn() -> Box<dyn SearchModule>) 
     {
         let mut store = TuningStore::open(&cold_path).unwrap();
         let mut search = make();
-        let (_, report) = system
-            .tune_parallel_with_store(&source, &locus, search.as_mut(), budget, 4, &mut store)
-            .unwrap();
+        let request = TuneRequest::new(&source, &locus, budget)
+            .parallel(4)
+            .store(StoreHandle::Single(&mut store));
+        let (_, report) = system.run(request, search.as_mut()).unwrap();
         assert!(report.evaluations() > 0, "{module}: cold run evaluated");
     }
 
-    // Two warm sessions, each against its own copy of the same file (a
-    // warm run may append, so copies keep the starting state identical),
-    // with different thread counts: same seed => same trajectory.
+    // Warm sessions, each against its own copy of the same file (a warm
+    // run may append, so copies keep the starting state identical): two
+    // parallel ones with different thread counts, and a sequential one
+    // with its repeat. Same seed and protocol => same trajectory.
     let mut runs = Vec::new();
-    for (i, threads) in [(0usize, 2usize), (1, 8)] {
+    for (i, threads) in [Some(2), Some(8), None, None].into_iter().enumerate() {
         let path = dir.join(format!("locus-{tag}-warm{i}.jsonl"));
         std::fs::copy(&cold_path, &path).unwrap();
         let mut store = TuningStore::open(&path).unwrap();
         let mut search = make();
-        let (result, report) = system
-            .tune_parallel_with_store(
-                &source,
-                &locus,
-                search.as_mut(),
-                budget,
-                threads,
-                &mut store,
-            )
-            .unwrap();
+        let request =
+            tune_request(&source, &locus, budget, threads).store(StoreHandle::Single(&mut store));
+        let (result, report) = system.run(request, search.as_mut()).unwrap();
         std::fs::remove_file(&path).ok();
         runs.push((fingerprint(&result), result.outcome.history.clone(), report));
     }
     std::fs::remove_file(&cold_path).ok();
 
-    let (fp_a, history_a, report_a) = &runs[0];
-    let (fp_b, history_b, report_b) = &runs[1];
-    assert_eq!(
-        fp_a, fp_b,
-        "{module}: same store + same seed must agree on the best"
-    );
     let bits = |h: &[(usize, f64)]| -> Vec<(usize, u64)> {
         h.iter().map(|(i, v)| (*i, v.to_bits())).collect()
     };
-    assert_eq!(
-        bits(history_a),
-        bits(history_b),
-        "{module}: improvement trajectory must be bit-identical"
-    );
-    assert_eq!(report_a.seeded, report_b.seeded);
-    assert!(
-        report_a.seeded > 0,
-        "{module}: warm sessions were seeded from the store"
-    );
-    assert_eq!(report_a.rehydrated, report_b.rehydrated);
+    for pair in runs.chunks(2) {
+        let (fp_a, history_a, report_a) = &pair[0];
+        let (fp_b, history_b, report_b) = &pair[1];
+        assert_eq!(
+            fp_a, fp_b,
+            "{module}: same store + same seed must agree on the best"
+        );
+        assert_eq!(
+            bits(history_a),
+            bits(history_b),
+            "{module}: improvement trajectory must be bit-identical"
+        );
+        assert_eq!(report_a.seeded, report_b.seeded);
+        assert!(
+            report_a.seeded > 0,
+            "{module}: warm sessions were seeded from the store"
+        );
+        assert_eq!(report_a.rehydrated, report_b.rehydrated);
+    }
 }
 
 #[test]
@@ -242,9 +257,9 @@ fn warm_start_is_deterministic_for_block_modules() {
 
 /// The MCTS and trace-sampler modules integrate observations in blocks
 /// of [`locus::search::OBSERVATION_BLOCK`] — exactly the parallel
-/// driver's batch size — so their proposal streams are bit-identical
-/// between the sequential `tune` driver and `tune_parallel` at every
-/// thread count, not merely invariant across thread counts.
+/// batch size — so their proposal streams are bit-identical between
+/// sequential and parallel requests at every thread count, not merely
+/// invariant across thread counts.
 #[test]
 fn block_modules_match_sequential_tune_exactly() {
     let source = dgemm_program(8);
@@ -265,9 +280,8 @@ fn block_modules_match_sequential_tune_exactly() {
     ];
     for (name, factory) in &make {
         let mut search = factory();
-        let sequential = system
-            .tune(&source, &locus, search.as_mut(), budget)
-            .unwrap();
+        let request = TuneRequest::new(&source, &locus, budget);
+        let (sequential, _) = system.run(request, search.as_mut()).unwrap();
         let want = fingerprint(&sequential);
         assert!(
             sequential.best.is_some(),
@@ -275,9 +289,8 @@ fn block_modules_match_sequential_tune_exactly() {
         );
         for threads in [1, 2, 8] {
             let mut search = factory();
-            let parallel = system
-                .tune_parallel(&source, &locus, search.as_mut(), budget, threads)
-                .unwrap();
+            let request = TuneRequest::new(&source, &locus, budget).parallel(threads);
+            let (parallel, _) = system.run(request, search.as_mut()).unwrap();
             assert_eq!(
                 fingerprint(&parallel),
                 want,
@@ -302,9 +315,9 @@ fn memo_cache_sees_hits_on_duplicate_proposals() {
     // schedule/chunk values, so their direct programs collide at the
     // variant level and are measured once.
     let mut search = ExhaustiveSearch::default();
-    let (result, stats) = system
-        .tune_parallel_with_cache(&source, &locus, &mut search, 512, 4)
-        .unwrap();
+    let request = TuneRequest::new(&source, &locus, 512).parallel(4);
+    let (result, report) = system.run(request, &mut search).unwrap();
+    let stats = report.memo;
     assert!(result.best.is_some());
     assert!(
         stats.hits() >= 1,
@@ -317,9 +330,9 @@ fn memo_cache_sees_hits_on_duplicate_proposals() {
 
     // A random walk re-proposing points also scores point-level hits.
     let mut search = RandomSearch::new(3);
-    let (_, stats) = system
-        .tune_parallel_with_cache(&source, &locus, &mut search, 96, 2)
-        .unwrap();
+    let request = TuneRequest::new(&source, &locus, 96).parallel(2);
+    let (_, report) = system.run(request, &mut search).unwrap();
+    let stats = report.memo;
     assert!(
         stats.hits() >= 1,
         "expected point or variant hits under random re-proposals, stats: {stats:?}"
@@ -337,21 +350,22 @@ fn shared_cache_replays_without_perturbing_outcomes() {
     let system = tiny_system(1);
 
     let mut search = RandomSearch::new(11);
-    let standalone = system
-        .tune_parallel(&source, &locus, &mut search, 32, 2)
-        .unwrap();
+    let request = TuneRequest::new(&source, &locus, 32).parallel(2);
+    let (standalone, _) = system.run(request, &mut search).unwrap();
 
     let shared = locus::system::MemoCache::new();
     let mut sweep = ExhaustiveSearch::default();
-    system
-        .tune_parallel_shared(&source, &locus, &mut sweep, 8192, 2, &shared)
-        .unwrap();
+    let request = TuneRequest::new(&source, &locus, 8192)
+        .parallel(2)
+        .cache(&shared);
+    system.run(request, &mut sweep).unwrap();
     let before = shared.stats();
 
     let mut search = RandomSearch::new(11);
-    let replayed = system
-        .tune_parallel_shared(&source, &locus, &mut search, 32, 2, &shared)
-        .unwrap();
+    let request = TuneRequest::new(&source, &locus, 32)
+        .parallel(2)
+        .cache(&shared);
+    let (replayed, _) = system.run(request, &mut search).unwrap();
     let after = shared.stats();
 
     assert_eq!(
@@ -390,17 +404,16 @@ fn report_counters_sum_to_proposed_points() {
         ("bandit", Box::new(|| Box::new(BanditTuner::new(9)))),
     ];
     for (name, factory) in &make {
-        for threads in [1, 4] {
+        for threads in [None, Some(1), Some(4)] {
             let mut search = factory();
-            let (result, report) = system
-                .tune_parallel_with_report(&source, &locus, search.as_mut(), 48, threads)
-                .unwrap();
+            let request = tune_request(&source, &locus, 48, threads);
+            let (result, report) = system.run(request, search.as_mut()).unwrap();
             assert!(result.best.is_some(), "{name}: no best found");
             assert!(report.proposed > 0, "{name}: nothing proposed");
             assert_eq!(
                 report.accounted(),
                 report.proposed,
-                "{name} threads={threads}: memo {} + store {} + fresh {} + pruned {} \
+                "{name} threads={threads:?}: memo {} + store {} + fresh {} + pruned {} \
                  != proposed {}",
                 report.memo_hits(),
                 report.store_hits(),
@@ -413,9 +426,10 @@ fn report_counters_sum_to_proposed_points() {
 }
 
 /// Tracing is observation-only: a run with an enabled tracer returns a
-/// `TuneResult` bit-identical to the same run without one, and the trace
-/// itself is deterministic across thread counts (workers merge by
-/// evaluation slot, not by scheduling order).
+/// `TuneResult` bit-identical to the same run without one, sequential or
+/// parallel, and the parallel trace itself is deterministic across
+/// thread counts (workers merge by evaluation slot, not by scheduling
+/// order).
 #[test]
 fn traced_runs_are_bit_identical_to_untraced_runs() {
     use locus::search::BanditTuner;
@@ -427,22 +441,30 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
     let budget = 32;
     let seed = 0x7ace;
 
-    let mut search = BanditTuner::new(seed);
-    let (untraced, untraced_report) = system
-        .tune_parallel_with_report(&source, &locus, &mut search, budget, 4)
-        .unwrap();
+    // Untraced references: the sequential protocol and the parallel one
+    // (whose result does not depend on the thread count).
+    let untraced_run = |threads| {
+        let mut search = BanditTuner::new(seed);
+        let request = tune_request(&source, &locus, budget, threads);
+        system.run(request, &mut search).unwrap()
+    };
+    let sequential = untraced_run(None);
+    let parallel = untraced_run(Some(4));
 
     let mut traces = Vec::new();
-    for threads in [1, 4, 8] {
+    for threads in [None, Some(1), Some(4), Some(8)] {
+        let (untraced, untraced_report) = match threads {
+            None => &sequential,
+            Some(_) => &parallel,
+        };
         let tracer = Tracer::enabled();
         let mut search = BanditTuner::new(seed);
-        let (traced, traced_report) = system
-            .tune_parallel_with_tracer(&source, &locus, &mut search, budget, threads, &tracer)
-            .unwrap();
+        let request = tune_request(&source, &locus, budget, threads).tracer(&tracer);
+        let (traced, traced_report) = system.run(request, &mut search).unwrap();
         assert_eq!(
             fingerprint(&traced),
-            fingerprint(&untraced),
-            "threads={threads}: tracing perturbed the tuning outcome"
+            fingerprint(untraced),
+            "threads={threads:?}: tracing perturbed the tuning outcome"
         );
         assert_eq!(traced_report.evaluations(), untraced_report.evaluations());
         assert_eq!(traced_report.proposed, untraced_report.proposed);
@@ -451,7 +473,7 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
         let events = tracer.events();
         assert!(
             locus::report::check_trace(&events).is_ok(),
-            "threads={threads}: incomplete trace"
+            "threads={threads:?}: incomplete trace"
         );
         // Scrub wall-clock fields; everything else must be scheduling
         // independent.
@@ -467,15 +489,19 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
             .filter(|(c, n, _)| c == "eval" && n == "point")
             .count()
     };
-    assert!(
-        eval_points(&traces[0].1) > 0,
-        "trace recorded no evaluations"
-    );
-    for (threads, shape) in &traces[1..] {
+    for (threads, shape) in &traces {
+        assert!(
+            eval_points(shape) > 0,
+            "threads={threads:?}: trace recorded no evaluations"
+        );
+    }
+    // The parallel traces (everything after the sequential one) agree
+    // with each other at every thread count.
+    for (threads, shape) in &traces[2..] {
         assert_eq!(
             eval_points(shape),
-            eval_points(&traces[0].1),
-            "threads={threads}: merged evaluation stream diverged"
+            eval_points(&traces[1].1),
+            "threads={threads:?}: merged evaluation stream diverged"
         );
     }
 }
@@ -503,25 +529,20 @@ fn store_backed_tracing_is_observation_only() {
 
     let mut store = TuningStore::open(&path_a).unwrap();
     let mut search = BanditTuner::new(seed);
-    let (plain, _) = system
-        .tune_parallel_with_store(&source, &locus, &mut search, budget, 4, &mut store)
-        .unwrap();
+    let request = TuneRequest::new(&source, &locus, budget)
+        .parallel(4)
+        .store(StoreHandle::Single(&mut store));
+    let (plain, _) = system.run(request, &mut search).unwrap();
     drop(store);
 
     let tracer = Tracer::enabled();
     let mut store = TuningStore::open(&path_b).unwrap();
     let mut search = BanditTuner::new(seed);
-    let (traced, _) = system
-        .tune_parallel_with_store_and_tracer(
-            &source,
-            &locus,
-            &mut search,
-            budget,
-            4,
-            &mut store,
-            &tracer,
-        )
-        .unwrap();
+    let request = TuneRequest::new(&source, &locus, budget)
+        .parallel(4)
+        .store(StoreHandle::Single(&mut store))
+        .tracer(&tracer);
+    let (traced, _) = system.run(request, &mut search).unwrap();
     drop(store);
 
     assert_eq!(
@@ -561,8 +582,80 @@ fn store_backed_tracing_is_observation_only() {
     // A disabled tracer stays empty no matter what ran through it.
     let disabled = Tracer::disabled();
     let mut search = BanditTuner::new(seed);
-    system
-        .tune_parallel_with_tracer(&source, &locus, &mut search, budget, 2, &disabled)
-        .unwrap();
+    let request = TuneRequest::new(&source, &locus, budget)
+        .parallel(2)
+        .tracer(&disabled);
+    system.run(request, &mut search).unwrap();
     assert!(disabled.events().is_empty());
+}
+
+/// Sequential trajectories are pinned: a sequential request reproduces,
+/// bit for bit, the sessions recorded in
+/// `tests/fixtures/sequential_tune.txt` — the bandit, the annealer and
+/// the portfolio at seeds 1, 7 and 42 and budgets 16 and 48, on the
+/// Fig. 7 program and on the registry's DGEMM, Jacobi-2D and LU entries.
+///
+/// The fixture was recorded with the sequential driver that predates
+/// [`LocusSystem::run`] (`SearchModule::search` behind a
+/// build-and-measure closure), so it pins that running the one driver at
+/// batch 1 moved no trajectory. Each line holds the best point, its
+/// objective bits, the evaluation, invalid and duplicate counts, the
+/// winner's re-measured time bits, and the improvement history.
+#[test]
+fn sequential_trajectories_match_the_fixture() {
+    let system = tiny_system(1);
+    let mut programs = vec![("fig7", dgemm_program(8), fig7_small())];
+    for entry in locus::corpus::all_programs() {
+        if ["dgemm", "stencil-jacobi2d", "poly-lu"].contains(&entry.name) {
+            programs.push((entry.name, entry.program.clone(), entry.locus_program()));
+        }
+    }
+    let hex = |v: f64| format!("{:016x}", v.to_bits());
+    let mut dump = String::new();
+    for (name, source, locus) in &programs {
+        for module in ["bandit", "anneal", "portfolio"] {
+            for seed in [1u64, 7, 42] {
+                for budget in [16usize, 48] {
+                    let mut search: Box<dyn SearchModule> = match module {
+                        "bandit" => Box::new(locus::search::BanditTuner::new(seed)),
+                        "anneal" => Box::new(locus::search::AnnealTuner::new(seed)),
+                        _ => Box::new(locus::search::PortfolioSearch::new(seed)),
+                    };
+                    let request = TuneRequest::new(source, locus, budget);
+                    let (result, _) = system.run(request, search.as_mut()).unwrap();
+                    let o = &result.outcome;
+                    let best = o.best.as_ref();
+                    let history: Vec<String> = o
+                        .history
+                        .iter()
+                        .map(|(i, v)| format!("{i}:{}", hex(*v)))
+                        .collect();
+                    dump.push_str(&format!(
+                        "{name} {module} seed={seed} budget={budget} best={} obj={} evals={} \
+                         invalid={} dups={} time={} history={}\n",
+                        best.map_or("-".to_string(), |(p, _)| p.canonical_key()),
+                        best.map_or("-".to_string(), |(_, v)| hex(*v)),
+                        o.evaluations,
+                        o.invalid,
+                        o.duplicates,
+                        result
+                            .best
+                            .as_ref()
+                            .map_or("-".to_string(), |(_, _, m)| hex(m.time_ms)),
+                        history.join(","),
+                    ));
+                }
+            }
+        }
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sequential_tune.txt");
+    let want = std::fs::read_to_string(&path).expect("fixture exists");
+    for (got, want) in dump.lines().zip(want.lines()) {
+        assert_eq!(
+            got, want,
+            "a sequential trajectory drifted from the fixture"
+        );
+    }
+    assert_eq!(dump.lines().count(), want.lines().count());
 }

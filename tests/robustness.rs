@@ -280,9 +280,8 @@ fn runtime_errors_fail_closed_through_the_system() {
         locus::machine::MachineConfig::scaled_small(),
     ));
     let mut search = locus::search::ExhaustiveSearch::default();
-    let result = system
-        .tune(&source, &locus_program, &mut search, 4)
-        .unwrap();
+    let request = locus::system::TuneRequest::new(&source, &locus_program, 4);
+    let (result, _) = system.run(request, &mut search).unwrap();
     // Alternative 0 fails (interchange on depth-1), alternative 1 works.
     assert_eq!(result.outcome.evaluations, 2);
     assert!(result.best.is_some());

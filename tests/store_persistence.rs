@@ -16,10 +16,21 @@ use std::path::PathBuf;
 use locus::machine::{Machine, MachineConfig};
 use locus::search::ExhaustiveSearch;
 use locus::store::TuningStore;
-use locus::system::{check_coherence, region_hashes, LocusSystem};
+use locus::system::{
+    check_coherence, region_hashes, LocusSystem, StoreHandle, TuneReport, TuneRequest, TuneResult,
+};
 
-fn tiny_system() -> LocusSystem {
+/// One exhaustive session (budget 16, two workers) on a tiny
+/// one-core machine against `store`.
+fn session(
+    source: &locus::srcir::ast::Program,
+    locus: &locus::lang::LocusProgram,
+    store: StoreHandle<'_>,
+) -> (TuneResult, TuneReport) {
+    let request = TuneRequest::new(source, locus, 16).parallel(2).store(store);
     LocusSystem::new(Machine::new(MachineConfig::scaled_tiny().with_cores(1)))
+        .run(request, &mut ExhaustiveSearch::default())
+        .unwrap()
 }
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -80,16 +91,12 @@ fn axpy_program() -> locus::lang::LocusProgram {
 fn reopened_store_warm_starts_to_identical_best() {
     let source = two_region_source("1.5");
     let locus = mm_program();
-    let system = tiny_system();
     let path = tmp_path("reopen");
     std::fs::remove_file(&path).ok();
 
     let (cold, cold_report) = {
         let mut store = TuningStore::open(&path).unwrap();
-        let mut search = ExhaustiveSearch::default();
-        system
-            .tune_parallel_with_store(&source, &locus, &mut search, 16, 2, &mut store)
-            .unwrap()
+        session(&source, &locus, StoreHandle::Single(&mut store))
         // The store is dropped here; everything lives in the file now.
     };
     assert!(cold_report.evaluations() > 0, "cold session measures");
@@ -98,10 +105,7 @@ fn reopened_store_warm_starts_to_identical_best() {
 
     let (warm, warm_report) = {
         let mut store = TuningStore::open(&path).unwrap();
-        let mut search = ExhaustiveSearch::default();
-        system
-            .tune_parallel_with_store(&source, &locus, &mut search, 16, 2, &mut store)
-            .unwrap()
+        session(&source, &locus, StoreHandle::Single(&mut store))
     };
     assert_eq!(
         warm_report.evaluations(),
@@ -128,7 +132,6 @@ fn reopened_store_warm_starts_to_identical_best() {
 fn edited_region_invalidates_only_its_own_entries() {
     let original = two_region_source("1.5");
     let edited = two_region_source("2.5");
-    let system = tiny_system();
     let path = tmp_path("coherence");
     std::fs::remove_file(&path).ok();
 
@@ -142,14 +145,8 @@ fn edited_region_invalidates_only_its_own_entries() {
     // Cold sessions populate the store for both regions.
     let (mm_cold, axpy_cold) = {
         let mut store = TuningStore::open(&path).unwrap();
-        let mut search = ExhaustiveSearch::default();
-        let (_, mm_cold) = system
-            .tune_parallel_with_store(&original, &mm_program(), &mut search, 16, 2, &mut store)
-            .unwrap();
-        let mut search = ExhaustiveSearch::default();
-        let (_, axpy_cold) = system
-            .tune_parallel_with_store(&original, &axpy_program(), &mut search, 16, 2, &mut store)
-            .unwrap();
+        let (_, mm_cold) = session(&original, &mm_program(), StoreHandle::Single(&mut store));
+        let (_, axpy_cold) = session(&original, &axpy_program(), StoreHandle::Single(&mut store));
         (mm_cold, axpy_cold)
     };
     assert!(mm_cold.evaluations() > 0);
@@ -160,10 +157,7 @@ fn edited_region_invalidates_only_its_own_entries() {
     // records are the ones dropped by the coherence pass.
     let mm_warm = {
         let mut store = TuningStore::open(&path).unwrap();
-        let mut search = ExhaustiveSearch::default();
-        let (_, report) = system
-            .tune_parallel_with_store(&edited, &mm_program(), &mut search, 16, 2, &mut store)
-            .unwrap();
+        let (_, report) = session(&edited, &mm_program(), StoreHandle::Single(&mut store));
         report
     };
     assert_eq!(mm_warm.evaluations(), 0, "sibling region replays from disk");
@@ -177,10 +171,7 @@ fn edited_region_invalidates_only_its_own_entries() {
     // replayed — everything is re-measured and re-persisted.
     let axpy_warm = {
         let mut store = TuningStore::open(&path).unwrap();
-        let mut search = ExhaustiveSearch::default();
-        let (_, report) = system
-            .tune_parallel_with_store(&edited, &axpy_program(), &mut search, 16, 2, &mut store)
-            .unwrap();
+        let (_, report) = session(&edited, &axpy_program(), StoreHandle::Single(&mut store));
         report
     };
     assert_eq!(
@@ -203,7 +194,6 @@ fn edited_region_invalidates_only_its_own_entries() {
 fn compaction_round_trips_a_real_session_store() {
     let original = two_region_source("1.5");
     let edited = two_region_source("2.5");
-    let system = tiny_system();
     let path = tmp_path("compact");
     std::fs::remove_file(&path).ok();
 
@@ -213,18 +203,9 @@ fn compaction_round_trips_a_real_session_store() {
     // Compacting through that handle rewrites only live state.
     let (stats, keys_before, len_before) = {
         let mut store = TuningStore::open(&path).unwrap();
-        let mut search = ExhaustiveSearch::default();
-        system
-            .tune_parallel_with_store(&original, &mm_program(), &mut search, 16, 2, &mut store)
-            .unwrap();
-        let mut search = ExhaustiveSearch::default();
-        system
-            .tune_parallel_with_store(&original, &axpy_program(), &mut search, 16, 2, &mut store)
-            .unwrap();
-        let mut search = ExhaustiveSearch::default();
-        system
-            .tune_parallel_with_store(&edited, &axpy_program(), &mut search, 16, 2, &mut store)
-            .unwrap();
+        session(&original, &mm_program(), StoreHandle::Single(&mut store));
+        session(&original, &axpy_program(), StoreHandle::Single(&mut store));
+        session(&edited, &axpy_program(), StoreHandle::Single(&mut store));
         let stats = store.compact().unwrap();
         let keys: Vec<_> = store.keys().into_iter().cloned().collect();
         let len = store.len();
@@ -242,10 +223,7 @@ fn compaction_round_trips_a_real_session_store() {
     assert_eq!(store.len(), len_before);
 
     // And it still warms a session end to end.
-    let mut search = ExhaustiveSearch::default();
-    let (_, report) = system
-        .tune_parallel_with_store(&edited, &mm_program(), &mut search, 16, 2, &mut store)
-        .unwrap();
+    let (_, report) = session(&edited, &mm_program(), StoreHandle::Single(&mut store));
     assert_eq!(report.evaluations(), 0, "compacted store still replays");
     drop(store);
     std::fs::remove_file(&path).ok();
@@ -285,11 +263,9 @@ fn concurrent_store_opens_are_arbitrated_by_the_writer_lock() {
 #[test]
 fn sharded_store_sessions_match_single_file_sessions() {
     use locus::store::ShardedStore;
-    use locus::trace::Tracer;
 
     let source = two_region_source("1.5");
     let locus = mm_program();
-    let system = tiny_system();
     let path = tmp_path("sharded-single");
     let dir = std::env::temp_dir().join(format!(
         "locus-store-persistence-{}-sharded.d",
@@ -300,25 +276,11 @@ fn sharded_store_sessions_match_single_file_sessions() {
 
     let (single, _) = {
         let mut store = TuningStore::open(&path).unwrap();
-        let mut search = ExhaustiveSearch::default();
-        system
-            .tune_parallel_with_store(&source, &locus, &mut search, 16, 2, &mut store)
-            .unwrap()
+        session(&source, &locus, StoreHandle::Single(&mut store))
     };
 
     let sharded_store = ShardedStore::open(&dir, 4).unwrap();
-    let mut search = ExhaustiveSearch::default();
-    let (sharded, cold_report) = system
-        .tune_parallel_with_sharded_store(
-            &source,
-            &locus,
-            &mut search,
-            16,
-            2,
-            &sharded_store,
-            &Tracer::disabled(),
-        )
-        .unwrap();
+    let (sharded, cold_report) = session(&source, &locus, StoreHandle::Sharded(&sharded_store));
     assert!(cold_report.evaluations() > 0);
 
     let (sp, _, sm) = single.best.as_ref().expect("single best");
@@ -327,18 +289,7 @@ fn sharded_store_sessions_match_single_file_sessions() {
     assert_eq!(sm.time_ms.to_bits(), hm.time_ms.to_bits());
 
     // Warm replay against the sharded store re-measures nothing.
-    let mut search = ExhaustiveSearch::default();
-    let (_, warm_report) = system
-        .tune_parallel_with_sharded_store(
-            &source,
-            &locus,
-            &mut search,
-            16,
-            2,
-            &sharded_store,
-            &Tracer::disabled(),
-        )
-        .unwrap();
+    let (_, warm_report) = session(&source, &locus, StoreHandle::Sharded(&sharded_store));
     assert_eq!(warm_report.evaluations(), 0);
     assert_eq!(warm_report.rehydrated, cold_report.appended);
 

@@ -14,7 +14,7 @@ use locus::corpus::dgemm_program;
 use locus::machine::{Machine, MachineConfig};
 use locus::search::{ExhaustiveSearch, SearchModule};
 use locus::store::TuningStore;
-use locus::system::LocusSystem;
+use locus::system::{LocusSystem, StoreHandle, TuneRequest};
 
 fn tiny_system() -> LocusSystem {
     LocusSystem::new(Machine::new(MachineConfig::scaled_tiny().with_cores(2)))
@@ -39,9 +39,8 @@ fn racy_points_are_pruned_before_simulation() {
     let system = tiny_system();
 
     let mut search = ExhaustiveSearch::default();
-    let (result, report) = system
-        .tune_parallel_with_report(&source, &locus, &mut search, 8, 2)
-        .unwrap();
+    let request = TuneRequest::new(&source, &locus, 8).parallel(2);
+    let (result, report) = system.run(request, &mut search).unwrap();
 
     assert_eq!(result.space_size, 2, "two parallelization choices");
     assert_eq!(report.pruned_illegal, 1, "the k-loop choice is refused");
@@ -63,13 +62,13 @@ fn pruning_preserves_the_sequential_result_bit_for_bit() {
     let system = tiny_system();
 
     let mut search = ExhaustiveSearch::default();
-    let sequential = system.tune(&source, &locus, &mut search, 8).unwrap();
+    let request = TuneRequest::new(&source, &locus, 8);
+    let (sequential, _) = system.run(request, &mut search).unwrap();
 
     for threads in [1, 2, 8] {
         let mut search = ExhaustiveSearch::default();
-        let (parallel, report) = system
-            .tune_parallel_with_report(&source, &locus, &mut search, 8, threads)
-            .unwrap();
+        let request = TuneRequest::new(&source, &locus, 8).parallel(threads);
+        let (parallel, report) = system.run(request, &mut search).unwrap();
         assert!(report.pruned_illegal > 0, "threads={threads}: prune fired");
         assert_eq!(
             parallel.best.as_ref().map(|(p, _, _)| p.canonical_key()),
@@ -101,9 +100,10 @@ fn prunes_replay_from_the_store_without_reanalysis() {
     let (cold, cold_report) = {
         let mut store = TuningStore::open(&path).unwrap();
         let mut search = ExhaustiveSearch::default();
-        system
-            .tune_parallel_with_store(&source, &locus, &mut search, 8, 2, &mut store)
-            .unwrap()
+        let request = TuneRequest::new(&source, &locus, 8)
+            .parallel(2)
+            .store(StoreHandle::Single(&mut store));
+        system.run(request, &mut search).unwrap()
     };
     assert_eq!(cold_report.pruned_illegal, 1);
     assert_eq!(
@@ -114,9 +114,10 @@ fn prunes_replay_from_the_store_without_reanalysis() {
     let (warm, warm_report) = {
         let mut store = TuningStore::open(&path).unwrap();
         let mut search = ExhaustiveSearch::default();
-        system
-            .tune_parallel_with_store(&source, &locus, &mut search, 8, 2, &mut store)
-            .unwrap()
+        let request = TuneRequest::new(&source, &locus, 8)
+            .parallel(2)
+            .store(StoreHandle::Single(&mut store));
+        system.run(request, &mut search).unwrap()
     };
     assert_eq!(warm_report.rehydrated, cold_report.appended);
     assert_eq!(warm_report.evaluations(), 0, "nothing is re-measured");
@@ -158,9 +159,8 @@ fn oracle_aware_modules_prune_before_proposing() {
     ];
     for (name, factory) in &make {
         let mut search = factory();
-        let (result, report) = system
-            .tune_parallel_with_report(&source, &locus, search.as_mut(), 8, 2)
-            .unwrap();
+        let request = TuneRequest::new(&source, &locus, 8).parallel(2);
+        let (result, report) = system.run(request, search.as_mut()).unwrap();
         assert_eq!(
             report.pruned_illegal, 0,
             "{name}: an illegal point slipped past the proposal-time oracle"
@@ -234,9 +234,8 @@ fn loop_carried_recurrence_never_ships() {
     .unwrap();
     let system = tiny_system();
     let mut search = ExhaustiveSearch::default();
-    let (result, report) = system
-        .tune_parallel_with_report(&source, &locus, &mut search, 4, 2)
-        .unwrap();
+    let request = TuneRequest::new(&source, &locus, 4).parallel(2);
+    let (result, report) = system.run(request, &mut search).unwrap();
     assert_eq!(report.pruned_illegal, 1);
     assert_eq!(report.evaluations(), 0, "nothing was ever simulated");
     assert!(result.best.is_none(), "the baseline ships unchanged");
