@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use locus_lang::ast::{LItem, LocusProgram};
@@ -224,8 +225,8 @@ impl<'a> TuneRequest<'a> {
         }
     }
 
-    /// Switches to batches of [`PARALLEL_BATCH`] proposals, measured by
-    /// `threads` workers (the calling thread is one of them).
+    /// Switches to batches of [`PARALLEL_BATCH`] proposals, built and
+    /// measured by `threads` workers (the calling thread is one of them).
     pub fn parallel(mut self, threads: usize) -> TuneRequest<'a> {
         self.threads = threads;
         self.batch_size = PARALLEL_BATCH;
@@ -629,16 +630,21 @@ impl LocusSystem {
     /// request, [`PARALLEL_BATCH`] for a [`TuneRequest::parallel`] one)
     /// and resolved against a two-level [`MemoCache`], so duplicate
     /// points — and distinct points denoting the *same* variant — are
-    /// measured exactly once. New variants are built on the calling
-    /// thread and measured by the request's workers.
+    /// measured exactly once. The request's workers — the calling
+    /// thread plus `threads - 1` scoped helpers — first build every new
+    /// variant of a batch, then measure the legal ones.
     ///
-    /// Determinism: the batch size does not depend on the worker count,
-    /// workers only compute objectives (the simulated machine is
-    /// deterministic), and results are merged back in proposal order
-    /// through a [`locus_search::Bookkeeper`]. For search modules whose
-    /// proposals do not depend on observations (exhaustive, seeded
-    /// random) a parallel request is bit-identical to a sequential one;
-    /// for every module it is bit-identical across thread counts.
+    /// Determinism: the batch size does not depend on the worker count;
+    /// the calling thread picks what to build before the workers start
+    /// and accounts for the built results in proposal order afterwards,
+    /// so memo counters, prunes and store records do not depend on it
+    /// either; workers only compute pure results (builds and the
+    /// deterministic simulated machine); and objectives are merged back
+    /// in proposal order through a [`locus_search::Bookkeeper`]. For
+    /// search modules whose proposals do not depend on observations
+    /// (exhaustive, seeded random) a parallel request is bit-identical
+    /// to a sequential one; for every module it is bit-identical across
+    /// thread counts.
     ///
     /// # Errors
     ///
@@ -650,8 +656,6 @@ impl LocusSystem {
         request: TuneRequest<'_>,
         search: &mut dyn SearchModule,
     ) -> Result<(TuneResult, TuneReport), ApplyError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
         let (source, locus, budget) = (request.source, request.locus, request.budget);
         let mut store = request.store;
         let session_cache = MemoCache::new();
@@ -713,16 +717,19 @@ impl LocusSystem {
         let mut eval_index: u64 = 0;
         let search_name = search.name().to_string();
         let mut fresh_records: Vec<EvalRecord> = Vec::new();
-        // Every variant built this run, keyed by its digest and held as
-        // a [`CompiledVariant`]: workers measure through these, and the
-        // finalize step reuses the winner's compiled code. The programs
-        // are small region kernels, so holding them for the run is
-        // cheap next to even one simulation.
+        // The variants built in the current batch, keyed by digest and
+        // held as [`CompiledVariant`]s that the workers measure through,
+        // plus the incumbent's: finalize-best re-measures the winner
+        // through its compiled code. Everything else is dropped at the
+        // next batch, so a long session holds one batch of programs,
+        // not every program it ever built.
         let mut compiled: HashMap<u64, std::sync::Arc<CompiledVariant>> = HashMap::new();
+        let mut best_variant: Option<u64> = None;
         let mut fresh_prunes: Vec<PruneRecord> = Vec::new();
 
         let mut book = locus_search::Bookkeeper::new(budget);
         'driver: while !book.done() {
+            compiled.retain(|digest, _| Some(*digest) == best_variant);
             let batch = {
                 let _span = tracer.span("phase", "propose");
                 search.propose_batch(&prepared.space, request.batch_size)
@@ -732,25 +739,54 @@ impl LocusSystem {
             }
             report.proposed += batch.len();
 
-            // Resolve every proposal against the cache, then *build*
-            // each new variant on this thread: the build runs the
-            // optimization program, and with it every legality check
-            // and the race analyzer, so statically refused points are
-            // pruned here — before a worker thread ever simulates
-            // anything. What reaches the pool is one built program per
-            // *new, legal* variant digest.
+            // Build every new variant of the batch, in three passes.
+            // The build runs the optimization program, and with it every
+            // legality check and the race analyzer, so statically
+            // refused points are pruned here — before the machine ever
+            // simulates anything. What reaches the measure pass is one
+            // built program per *new, legal* variant digest.
+            //
+            // 1. Select (this thread): digest every proposal and pick
+            //    the first proposal of each digest the cache does not
+            //    hold yet — exactly the proposals the account pass will
+            //    build. `peek_*` moves no counter.
+            let build_span = tracer.span("phase", "build-verify");
             let mut batch_variant: Vec<u64> = Vec::with_capacity(batch.len());
+            let mut to_build: Vec<&Point> = Vec::new();
+            let mut build_slot: HashMap<u64, usize> = HashMap::new();
+            for point in &batch {
+                let variant =
+                    locus_srcir::hash::fnv1a(self.direct_program(&prepared, point).as_bytes());
+                batch_variant.push(variant);
+                if cache.peek_point(point).is_some() || cache.peek_variant(variant).is_some() {
+                    continue;
+                }
+                build_slot.entry(variant).or_insert_with(|| {
+                    to_build.push(point);
+                    to_build.len() - 1
+                });
+            }
+            // 2. Build (worker pool): each slot holds its build result
+            //    and build wall time.
+            let built = fork_join(threads, to_build.len(), |i| {
+                let start = std::time::Instant::now();
+                let result = self.build_variant(source, &prepared, to_build[i]);
+                (result, start.elapsed().as_secs_f64() * 1e3)
+            });
+            let mut built: Vec<Option<_>> = built.into_iter().map(Some).collect();
+            // 3. Account (this thread, proposal order): resolve every
+            //    proposal against the cache, coalesce repeats of a
+            //    variant under measurement, and take each new variant's
+            //    prebuilt result — so counters, prune events and store
+            //    records come out as if each were built right here.
+            //
             // One origin label per proposal, read back by the merge
             // loop's `eval` events. When the tracer is disabled the
             // labels are never read; pushing `&'static str`s is free.
             let mut batch_origin: Vec<&'static str> = Vec::with_capacity(batch.len());
             let mut to_measure: Vec<(u64, Point, std::sync::Arc<CompiledVariant>)> = Vec::new();
             let mut measuring = std::collections::HashSet::new();
-            let build_span = tracer.span("phase", "build-verify");
-            for point in &batch {
-                let variant =
-                    locus_srcir::hash::fnv1a(self.direct_program(&prepared, point).as_bytes());
-                batch_variant.push(variant);
+            for (point, &variant) in batch.iter().zip(&batch_variant) {
                 if cache.lookup_point(point).is_some() || cache.lookup_variant(variant).is_some() {
                     batch_origin.push(if tracer.is_enabled() {
                         cache.peek_origin(point, variant).unwrap_or("session")
@@ -764,8 +800,11 @@ impl LocusSystem {
                     batch_origin.push("coalesced");
                     continue;
                 }
-                let start = std::time::Instant::now();
-                match self.build_variant(source, &prepared, point) {
+                let (result, build_ms) = build_slot
+                    .get(&variant)
+                    .and_then(|&slot| built[slot].take())
+                    .expect("the select pass chose every variant the account pass builds");
+                match result {
                     Ok(program) => {
                         batch_origin.push("fresh");
                         // Wrap for batched evaluation: the worker that
@@ -825,7 +864,7 @@ impl LocusSystem {
                                 flops: 0,
                                 checksum: 0,
                                 search: search_name.clone(),
-                                wall_ms: start.elapsed().as_secs_f64() * 1e3,
+                                wall_ms: build_ms,
                             });
                         }
                     }
@@ -833,34 +872,20 @@ impl LocusSystem {
             }
             drop(build_span);
 
-            // Fan the fresh measurements out over the worker pool: the
-            // calling thread plus `threads - 1` scoped helpers, all
-            // borrowing this system (and thus the machine); an atomic
-            // cursor deals work out. Workers only *measure* — every
-            // program handed to them was built (and statically vetted)
-            // on the calling thread above.
+            // Measure the built variants on the same worker pool. Every
+            // program handed to it was statically vetted above.
             if !to_measure.is_empty() {
                 let _span = tracer.span("phase", "measure");
-                let work = &to_measure;
-                let cursor = AtomicUsize::new(0);
-                let cursor = &cursor;
-                let results: Vec<Mutex<Option<(Objective, MeasureSummary)>>> =
-                    work.iter().map(|_| Mutex::new(None)).collect();
-                let results = &results;
                 // One scoped child tracer per work *slot* (not per worker
                 // thread): whichever thread measures slot `i` records into
                 // slot `i`'s buffer, so absorbing the buffers in slot order
                 // below merges worker-side spans deterministically no
                 // matter how the scheduler dealt the work out.
-                let slot_tracers: Vec<Tracer> = (0..work.len())
+                let slot_tracers: Vec<Tracer> = (0..to_measure.len())
                     .map(|i| tracer.scoped(i as u64 + 1))
                     .collect();
-                let slot_tracers = &slot_tracers;
-                let worker = move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some((_, _, variant)) = work.get(i) else {
-                        break;
-                    };
+                let results = fork_join(threads, to_measure.len(), |i| {
+                    let (_, _, variant) = &to_measure[i];
                     let start = std::time::Instant::now();
                     let (objective, mut summary) =
                         match variant.run_traced(self.machine.config(), &slot_tracers[i]) {
@@ -880,22 +905,12 @@ impl LocusSystem {
                             Err(_) => (Objective::Error, MeasureSummary::default()),
                         };
                     summary.wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                    *results[i].lock().expect("result slot") = Some((objective, summary));
-                };
-                std::thread::scope(|scope| {
-                    for _ in 1..threads.min(work.len()) {
-                        scope.spawn(worker);
-                    }
-                    worker();
+                    (objective, summary)
                 });
-                for slot in slot_tracers {
+                for slot in &slot_tracers {
                     tracer.absorb(slot.drain());
                 }
-                for ((variant, point, _), slot) in work.iter().zip(results) {
-                    let (objective, summary) = slot
-                        .lock()
-                        .expect("result slot")
-                        .expect("worker filled every dealt slot");
+                for ((variant, point, _), (objective, summary)) in to_measure.iter().zip(results) {
                     cache.note_miss();
                     cache.insert(point, *variant, objective);
                     if store.is_some() {
@@ -927,6 +942,9 @@ impl LocusSystem {
                     .expect("every batch point resolved");
                 cache.insert_point(point, objective);
                 let (recorded, fresh) = book.record(point, |_| objective);
+                if fresh && book.best_point() == Some(point) {
+                    best_variant = Some(*variant);
+                }
                 if tracer.is_enabled() {
                     eval_index += 1;
                     let (value, verdict) = match recorded {
@@ -963,14 +981,13 @@ impl LocusSystem {
         let best = {
             let _span = tracer.span("phase", "finalize-best");
             outcome.best.clone().and_then(|(point, _)| {
-                // When the winner was built (and therefore compiled)
-                // this run, re-measure through its memoized code; a
-                // winner resolved purely from rehydrated records was
-                // never built here and takes the build-and-measure
-                // path.
-                let digest =
-                    locus_srcir::hash::fnv1a(self.direct_program(&prepared, &point).as_bytes());
-                if let Some(cv) = compiled.get(&digest) {
+                // When the winner's variant was built (and therefore
+                // compiled) this run, it is still held: re-measure
+                // through its memoized code. A winner answered from the
+                // store, or from a caller-owned memo an earlier session
+                // filled, was never built here and takes the
+                // build-and-measure path.
+                if let Some(cv) = best_variant.and_then(|digest| compiled.get(&digest)) {
                     return match cv.run(self.machine.config()) {
                         Ok(m) if !self.verify_results || m.checksum == expected => {
                             Some((point, cv.program().clone(), m))
@@ -1074,6 +1091,38 @@ impl LocusSystem {
             report,
         ))
     }
+}
+
+/// Runs `job(i)` for every `i` in `0..len` on a pool of the calling
+/// thread plus up to `threads - 1` scoped helpers, which borrow the
+/// caller's state; an atomic cursor deals the indices out. Returns the
+/// results in index order, however the scheduler dealt them. With one
+/// thread (or one job) everything runs inline and nothing is spawned.
+fn fork_join<T: Send>(threads: usize, len: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
+    let worker = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= len {
+            break;
+        }
+        let value = job(i);
+        *slots[i].lock().expect("result slot") = Some(value);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(len) {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot")
+                .expect("a worker filled every slot")
+        })
+        .collect()
 }
 
 /// Measurement summary workers hand back alongside the objective — the
@@ -1386,6 +1435,111 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Proposes a fixed list of points in order and ignores every
+    /// observation.
+    struct Scripted(std::collections::VecDeque<Point>);
+
+    impl SearchModule for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+
+        fn begin(&mut self, _space: &Space, _budget: usize) {}
+
+        fn propose(&mut self, _space: &Space) -> Option<Point> {
+            self.0.pop_front()
+        }
+
+        fn observe(&mut self, _point: &Point, _objective: Objective, _fresh: bool) {}
+    }
+
+    /// The session holds only the incumbent's compiled variant, yet
+    /// finalize-best returns the winner exactly as a fresh build and
+    /// measurement would — whether the winner was built in the first of
+    /// many batches or, in a store-warm session, never built at all.
+    #[test]
+    fn finalize_returns_the_winner_bit_for_bit() {
+        let source = parse_program(MATMUL_SRC).unwrap();
+        let locus = locus_lang::parse(
+            r#"CodeReg matmul {
+                tileI = poweroftwo(2..32);
+                tileK = poweroftwo(2..32);
+                tileJ = poweroftwo(2..32);
+                Pips.Tiling(loop="0", factor=[tileI, tileK, tileJ]);
+            }"#,
+        )
+        .unwrap();
+        let sys = system();
+        let prepared = sys.prepare(&source, &locus).unwrap();
+        let size = prepared.space.size();
+        let (sweep, _) = sys
+            .run(
+                TuneRequest::new(&source, &locus, 1000).parallel(2),
+                &mut locus_search::ExhaustiveSearch::default(),
+            )
+            .unwrap();
+        let winner = sweep.outcome.best.expect("the sweep finds a winner").0;
+
+        // The winner first, then every other point: seven more batches,
+        // none of which improves on the first proposal.
+        let script = || {
+            let rest = (0..size)
+                .map(|i| prepared.space.point_at(i))
+                .filter(|p| *p != winner);
+            Scripted(std::iter::once(winner.clone()).chain(rest).collect())
+        };
+        let path = std::env::temp_dir().join(format!(
+            "locus-core-finalize-{}-{:?}.jsonl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_file(&path).ok();
+        let session = || {
+            let mut store = TuningStore::open(&path).unwrap();
+            let request = TuneRequest::new(&source, &locus, 1000)
+                .parallel(2)
+                .store(StoreHandle::Single(&mut store));
+            sys.run(request, &mut script()).unwrap()
+        };
+        let (cold, cold_report) = session();
+        assert_eq!(cold_report.proposed as u128, size);
+        assert!(
+            size > 6 * PARALLEL_BATCH as u128,
+            "many batches follow the winner"
+        );
+        assert_eq!(cold.outcome.history.len(), 1, "the first proposal wins");
+        let (warm, warm_report) = session();
+        assert_eq!(
+            warm_report.evaluations(),
+            0,
+            "the warm session builds nothing"
+        );
+        std::fs::remove_file(&path).ok();
+
+        let tree = LocusSystem::new(Machine::new(
+            MachineConfig::scaled_small()
+                .with_cores(1)
+                .with_engine(locus_machine::ExecEngine::Tree),
+        ));
+        for (name, result) in [("cold", cold), ("warm", warm)] {
+            let (point, program, m) = result.best.expect("a winner ships");
+            assert_eq!(point, winner, "{name}: winner");
+            let expected = Some(result.baseline.checksum);
+            let VariantOutcome::Measured(fresh) =
+                sys.evaluate_point(&source, &prepared, &point, expected)
+            else {
+                panic!("{name}: the winner re-measures");
+            };
+            let (fresh_program, fresh_m) = *fresh;
+            assert_eq!(program, fresh_program, "{name}: program");
+            for other in [fresh_m, tree.measure(&program).unwrap()] {
+                assert_eq!(m, other, "{name}: measurement");
+                assert_eq!(m.time_ms.to_bits(), other.time_ms.to_bits(), "{name}");
+                assert_eq!(m.cycles.to_bits(), other.cycles.to_bits(), "{name}");
+            }
+        }
     }
 
     #[test]

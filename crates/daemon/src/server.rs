@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead as _, BufReader, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,8 +52,10 @@ use locus_trace::{tag_events, to_jsonl, Tracer};
 use crate::protocol::{codes, Op, Request, Response, MAX_LINE};
 use crate::sched::FairScheduler;
 
-/// How long blocked reads and accepts wait before re-checking the
-/// shutdown flag; bounds daemon stop latency.
+/// How long a blocked connection read waits before re-checking the
+/// shutdown flag; bounds how long stopping waits for idle connections.
+/// (The acceptor blocks outright and is woken by [`wake_acceptor`]; it
+/// also backs off this long after a failed accept.)
 const POLL: Duration = Duration::from_millis(50);
 
 /// Configuration of one daemon instance.
@@ -110,12 +112,15 @@ struct Shared {
     shutdown: Arc<AtomicBool>,
     trace: Option<Mutex<std::fs::File>>,
     next_conn: AtomicU64,
+    /// The bound listen address, which [`wake_acceptor`] connects to.
+    addr: SocketAddr,
 }
 
 impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.sched.shutdown();
+        wake_acceptor(self.addr);
     }
 
     /// Tags a finished request's trace events with its id and appends
@@ -133,7 +138,7 @@ impl Shared {
 
 /// A running `locusd` instance; stops (and joins its threads) on drop.
 pub struct Daemon {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     sched: Arc<FairScheduler<Job>>,
     shutdown: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -182,6 +187,7 @@ impl Daemon {
             shutdown: shutdown.clone(),
             trace,
             next_conn: AtomicU64::new(0),
+            addr,
         };
         let handle = std::thread::spawn(move || {
             std::thread::scope(|scope| {
@@ -200,7 +206,7 @@ impl Daemon {
     }
 
     /// The bound listen address (resolves ephemeral ports).
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -210,6 +216,7 @@ impl Daemon {
         self.shutdown.store(true, Ordering::SeqCst);
         self.sched.shutdown();
         if let Some(handle) = self.handle.take() {
+            wake_acceptor(self.addr);
             let _ = handle.join();
         }
     }
@@ -230,28 +237,40 @@ impl Drop for Daemon {
 }
 
 /// Accepts connections until shutdown, spawning one scoped reader
-/// thread per connection.
+/// thread per connection. The accept blocks; whoever sets the shutdown
+/// flag then connects once ([`wake_acceptor`]), and the flag is
+/// re-checked after every accept, so that wake-up connection is dropped
+/// unserved.
 fn accept_loop<'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
     shared: &'scope Shared,
     listener: TcpListener,
 ) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
+    while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
+            Ok(_) if shared.shutdown.load(Ordering::SeqCst) => return,
             Ok((stream, _peer)) => {
                 let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
                 scope.spawn(move || serve_connection(shared, conn, stream));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(_) => std::thread::sleep(POLL),
         }
     }
+}
+
+/// Unblocks an acceptor listening on `addr` by connecting to it once
+/// (over loopback when `addr` is the unspecified address). Call it
+/// after setting the shutdown flag. Errors are ignored: an acceptor
+/// that already returned leaves nothing to wake.
+fn wake_acceptor(addr: SocketAddr) {
+    let mut target = addr;
+    if addr.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
 /// Writes one response line to a connection's (shared) reply stream.

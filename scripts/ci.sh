@@ -43,6 +43,8 @@ cargo test -q --offline --test corpus_conformance
 # and counter accounting (proposed == memo + store + fresh + pruned).
 cargo test -q --offline --test report_golden
 cargo test -q --offline --test parallel_determinism
+# Batch accounting named explicitly: pool-built batches match the recorded fixture at any thread count.
+cargo test -q --offline --test parallel_determinism -- --exact batch_accounting_is_thread_invariant_and_pinned
 # Search-module conformance: every module passes the shared trait suite
 # (per-seed determinism, batch ≡ repeated propose, seeded priors and
 # refused points never re-proposed, NaN robustness, tiny-space
@@ -84,6 +86,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --document-
 # Daemon bench smoke in check mode: zero error replies, the warm phase
 # re-measures nothing and beats the cold wall-clock, and a poisoned
 # request is refused as a structured panic while the daemon lives on.
+# The acceptor blocks instead of polling, so neither phase's wall-clock
+# includes an accept-poll wait and the warm-beats-cold check is stable.
 ./target/release/bench_daemon /tmp/locus_bench_daemon.json --check
 
 # locus-report smoke: the committed fixture traces validate, and a

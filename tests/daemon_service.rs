@@ -318,17 +318,78 @@ fn budgets_are_clamped_and_deadlines_enforced() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A client `shutdown` request makes [`Daemon::join`] return, and
+/// [`Daemon::stop`] returns, although the acceptor blocks in `accept`:
+/// each wakes it with one connection, made over loopback when the
+/// daemon listens on the unspecified address. A hang fails the test
+/// instead of blocking it.
 #[test]
 fn shutdown_op_stops_the_daemon() {
     let dir = scratch("shutdown");
-    let mut daemon = Daemon::start(DaemonConfig::new(dir.join("store.d"))).unwrap();
-    let mut client = Client::connect(daemon.addr()).unwrap();
-    let response = client.shutdown("bye").unwrap();
-    assert!(response.ok);
-    // join returns because a client-initiated shutdown tears the
-    // service threads down.
-    daemon.join();
+    let finishes = |stop: Box<dyn FnOnce() + Send>| {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            stop();
+            done.send(()).ok();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .is_ok()
+    };
+    for (i, addr) in ["127.0.0.1:0", "0.0.0.0:0"].into_iter().enumerate() {
+        let start = || {
+            let mut config = DaemonConfig::new(dir.join(format!("store-{i}.d")));
+            config.addr = addr.to_string();
+            Daemon::start(config).unwrap()
+        };
+        let mut daemon = start();
+        let port = daemon.addr().port();
+        let mut client = Client::connect(("127.0.0.1", port)).unwrap();
+        assert!(client.shutdown("bye").unwrap().ok);
+        assert!(
+            finishes(Box::new(move || daemon.join())),
+            "{addr}: join returns after a client shutdown"
+        );
+
+        let mut daemon = start();
+        assert!(
+            finishes(Box::new(move || daemon.stop())),
+            "{addr}: stop returns"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The first requests of a fresh daemon are served at once: the
+/// acceptor blocks in `accept` rather than polling, so no poll interval
+/// (50 ms) sits between a client's connect and its first reply. A
+/// polling acceptor shows on the second client of a round, which
+/// connects while the acceptor sleeps after serving the first. The
+/// fastest of five start → connect → ping rounds, two clients each,
+/// must take under half that interval; taking the minimum keeps the
+/// bound stable on a loaded host.
+#[test]
+fn first_request_is_not_delayed_by_an_accept_poll() {
+    let dir = scratch("first");
+    let mut fastest = std::time::Duration::MAX;
+    for i in 0..5 {
+        let started = std::time::Instant::now();
+        let mut daemon =
+            Daemon::start(DaemonConfig::new(dir.join(format!("store-{i}.d")))).unwrap();
+        let mut clients = Vec::new();
+        for c in 0..2 {
+            let mut client = Client::connect(daemon.addr()).unwrap();
+            assert!(client.ping(&format!("p{c}")).unwrap());
+            clients.push(client);
+        }
+        fastest = fastest.min(started.elapsed());
+        daemon.stop();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        fastest < std::time::Duration::from_millis(25),
+        "fastest start -> connect -> ping round took {fastest:?}"
+    );
 }
 
 /// The daemon's supervised result path and the tracer interact: a

@@ -8,9 +8,10 @@
 //!
 //! Why this holds: proposals are consumed in proposal order through the
 //! shared `Bookkeeper`, the parallel batch size is fixed (16) regardless
-//! of the thread count, and threads only race on *measuring* — the merge
-//! loop that feeds observations back to the search module is sequential
-//! and deterministic.
+//! of the thread count, and threads only race on *building* and
+//! *measuring* — the driver accounts for the built variants, and the
+//! merge loop feeds observations back to the search module, sequentially
+//! and in proposal order.
 
 use locus::corpus::dgemm_program;
 use locus::lang::LocusProgram;
@@ -506,6 +507,22 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
     }
 }
 
+/// A store file's text with every `wall_ms` field zeroed: that field
+/// records real (non-simulated) wall-clock time and differs between any
+/// two runs, so everything else is what must be reproducible.
+fn scrub_wall_ms(text: &str) -> String {
+    text.lines()
+        .map(|line| match line.split_once("\"wall_ms\":") {
+            Some((head, tail)) => {
+                let rest = tail.find([',', '}']).map_or("", |i| &tail[i..]);
+                format!("{head}\"wall_ms\":0{rest}")
+            }
+            None => line.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 /// Same observation-only guarantee for the store-backed entry point, and
 /// the disabled tracer records nothing.
 #[test]
@@ -558,23 +575,9 @@ fn store_backed_tracing_is_observation_only() {
         "store-backed trace must record the append phase"
     );
 
-    // And the stores stayed identical, modulo the `wall_ms` field, which
-    // records real (non-simulated) wall-clock time and differs between
-    // any two runs, traced or not.
-    let scrub = |text: String| -> String {
-        text.lines()
-            .map(|line| match line.split_once("\"wall_ms\":") {
-                Some((head, tail)) => {
-                    let rest = tail.find([',', '}']).map_or("", |i| &tail[i..]);
-                    format!("{head}\"wall_ms\":0{rest}")
-                }
-                None => line.to_string(),
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let a = scrub(std::fs::read_to_string(&path_a).unwrap());
-    let b = scrub(std::fs::read_to_string(&path_b).unwrap());
+    // And the stores stayed identical, modulo the `wall_ms` field.
+    let a = scrub_wall_ms(&std::fs::read_to_string(&path_a).unwrap());
+    let b = scrub_wall_ms(&std::fs::read_to_string(&path_b).unwrap());
     std::fs::remove_file(&path_a).ok();
     std::fs::remove_file(&path_b).ok();
     assert_eq!(a, b, "tracing changed what was persisted");
@@ -658,4 +661,152 @@ fn sequential_trajectories_match_the_fixture() {
         );
     }
     assert_eq!(dump.lines().count(), want.lines().count());
+}
+
+/// DGEMM tiled with a dependent second factor, then parallelized by one
+/// of two OR branches. Over its 32 points this gives build-time
+/// `Invalid` points (`tileJ > tileI`, all denoting one variant),
+/// verifier-refused points (an `omp for` on the inner `k` loop races),
+/// and measured points whose dead `schedule`/`loop` parameters make
+/// several distinct points denote the same variant.
+const BATCH_PROGRAM: &str = r#"CodeReg matmul {
+    tileI = poweroftwo(2..4);
+    tileJ = poweroftwo(2..tileI);
+    Pips.Tiling(loop="0", factor=[tileI, tileJ, 2]);
+    {
+        Pragma.OMPFor(loop="0");
+    } OR {
+        Pragma.OMPFor(loop=enum("0", "0.0.0.0.0.0"), schedule=enum("static", "dynamic"));
+    }
+}"#;
+
+/// Three 16-point batches of space indices into [`BATCH_PROGRAM`]'s
+/// space. Indices 8–15 are `Invalid` (8–11 share one variant), 6, 7, 22,
+/// 23, 30 and 31 are refused as racy, and 0–3, 16–19 and 24–27 are
+/// groups of four points with one variant each. The first batch holds
+/// every case at once: repeats of an invalid point (8), of a refused
+/// point (6) and of a point still being measured (0), a second invalid
+/// point of the same variant (9), and coalescable measured points (1, 2,
+/// 17).
+const BATCH_SCRIPT: [u128; 48] = [
+    8, 0, 6, 8, 1, 9, 4, 6, 16, 2, 24, 12, 5, 17, 7, 0, //
+    0, 3, 25, 6, 10, 20, 21, 13, 26, 22, 8, 28, 29, 30, 18, 14, //
+    31, 23, 27, 19, 11, 15, 5, 24, 29, 1, 7, 30, 2, 16, 28, 9,
+];
+
+/// A search module that proposes a fixed script of space indices in
+/// order and ignores every observation.
+struct Scripted {
+    next: usize,
+}
+
+impl SearchModule for Scripted {
+    fn name(&self) -> &str {
+        "scripted"
+    }
+
+    fn begin(&mut self, _space: &locus::space::Space, _budget: usize) {
+        self.next = 0;
+    }
+
+    fn propose(&mut self, space: &locus::space::Space) -> Option<locus::space::Point> {
+        let index = *BATCH_SCRIPT.get(self.next)?;
+        self.next += 1;
+        Some(space.point_at(index))
+    }
+
+    fn observe(
+        &mut self,
+        _point: &locus::space::Point,
+        _objective: locus::search::Objective,
+        _fresh: bool,
+    ) {
+    }
+}
+
+/// How a batch is accounted — memo counters, prunes, the `eval` origin
+/// of every proposal and the store's record sequence — does not depend
+/// on the thread count, and matches `tests/fixtures/batch_accounting.txt`.
+///
+/// The fixture was recorded with the driver that built every new variant
+/// on the calling thread, so it pins that building on the worker pool
+/// moved no counter: a repeated invalid point is still a point hit, a
+/// second point of an invalid variant a variant hit, a repeat of a point
+/// under measurement coalesced, and build-time failures still precede
+/// the measured records in the store.
+#[test]
+fn batch_accounting_is_thread_invariant_and_pinned() {
+    use locus::store::TuningStore;
+    use locus::trace::Tracer;
+
+    let source = dgemm_program(8);
+    let locus = locus::lang::parse(BATCH_PROGRAM).expect("program parses");
+    let system = tiny_system(2);
+    let path = std::env::temp_dir().join(format!(
+        "locus-{}-batch-accounting.jsonl",
+        std::process::id()
+    ));
+
+    let mut dumps = Vec::new();
+    for threads in [1, 2, 4] {
+        std::fs::remove_file(&path).ok();
+        let tracer = Tracer::enabled();
+        let mut store = TuningStore::open(&path).unwrap();
+        let request = TuneRequest::new(&source, &locus, 64)
+            .parallel(threads)
+            .store(StoreHandle::Single(&mut store))
+            .tracer(&tracer);
+        let (_, report) = system.run(request, &mut Scripted { next: 0 }).unwrap();
+        drop(store);
+        assert_eq!(report.proposed, BATCH_SCRIPT.len());
+        assert_eq!(report.accounted(), report.proposed);
+
+        let m = report.memo;
+        let mut dump = format!(
+            "memo point_hits={} variant_hits={} store_hits={} misses={} unique_points={} \
+             unique_variants={}\nreport proposed={} pruned_illegal={} appended={}\n",
+            m.point_hits,
+            m.variant_hits,
+            m.store_hits,
+            m.misses,
+            m.unique_points,
+            m.unique_variants,
+            report.proposed,
+            report.pruned_illegal,
+            report.appended,
+        );
+        let origins: Vec<String> = tracer
+            .events()
+            .iter()
+            .filter(|e| e.cat == "eval" && e.name == "point")
+            .map(|e| {
+                let origin = e.arg("origin").and_then(|v| v.as_str());
+                origin
+                    .expect("every eval event names its origin")
+                    .to_string()
+            })
+            .collect();
+        for batch in origins.chunks(16) {
+            dump.push_str(&format!("origins {}\n", batch.join(" ")));
+        }
+        for line in scrub_wall_ms(&std::fs::read_to_string(&path).unwrap()).lines() {
+            dump.push_str(&format!("store {line}\n"));
+        }
+        dumps.push((threads, dump));
+    }
+    std::fs::remove_file(&path).ok();
+
+    for (threads, dump) in &dumps[1..] {
+        assert_eq!(
+            dump, &dumps[0].1,
+            "threads={threads}: batch accounting diverged from threads=1"
+        );
+    }
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/batch_accounting.txt");
+    let want = std::fs::read_to_string(&fixture).expect("fixture exists");
+    for (got, want) in dumps[0].1.lines().zip(want.lines()) {
+        assert_eq!(got, want, "batch accounting drifted from the fixture");
+    }
+    assert_eq!(dumps[0].1.lines().count(), want.lines().count());
 }
