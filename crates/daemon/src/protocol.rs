@@ -1,18 +1,23 @@
 //! The `locusd` wire protocol: newline-delimited flat JSON.
 //!
 //! One request per line, one response line per request, over a TCP
-//! stream. The codec is hand-rolled in the same style as the store's
-//! record codec — flat objects only, string values escaped, `f64`
-//! values carried as exact bit patterns (16 hex digits) with an
-//! approximate `_dec` sibling for human readers, so a tuning result
-//! survives the wire bit-identically.
+//! stream. The codec is the workspace's flat-JSON line codec
+//! ([`locus_trace::json`], shared with the store's record log and the
+//! trace log): flat objects only, string values escaped, `f64` values
+//! carried as exact bit patterns (16 hex digits) with an approximate
+//! `_dec` sibling for human readers, so a tuning result survives the
+//! wire bit-identically. Unlike the store, the daemon refuses a line
+//! with text after its closing `}`.
 //!
 //! Robustness contract (pinned by `tests/daemon_protocol.rs`): a
 //! malformed, truncated, or oversized request line yields a structured
 //! [`Response::error`] reply — never a panic, never a dropped
 //! connection.
 
+use std::borrow::Cow;
 use std::fmt;
+
+use locus_trace::json::{read_flat, read_string, FlatObject, FlatWriter};
 
 /// Hard cap on one request or response line, in bytes (excluding the
 /// newline). Oversized requests are answered with an
@@ -102,7 +107,7 @@ pub struct Request {
     /// Registry kernel name (`tune`, `suggest`, `debug-panic`).
     pub kernel: String,
     /// Search module: `exhaustive`, `random`, `bandit`, `anneal`,
-    /// `portfolio`.
+    /// `mcts`, `sampler`, `portfolio`.
     pub search: String,
     /// Deterministic search seed.
     pub seed: u64,
@@ -139,21 +144,20 @@ impl Request {
 
     /// Encodes the request as one wire line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut out = String::from("{");
-        push_str_field(&mut out, "id", &self.id);
-        push_str_field(&mut out, "op", self.op.as_str());
+        let mut w = FlatWriter::new();
+        w.str("id", &self.id).str("op", self.op.as_str());
         if !self.kernel.is_empty() {
-            push_str_field(&mut out, "kernel", &self.kernel);
+            w.str("kernel", &self.kernel);
         }
-        push_str_field(&mut out, "search", &self.search);
-        push_raw_field(&mut out, "seed", self.seed);
-        push_raw_field(&mut out, "budget", self.budget);
-        push_raw_field(&mut out, "threads", self.threads);
-        push_str_field(&mut out, "machine", &self.machine);
+        w.str("search", &self.search)
+            .raw("seed", self.seed)
+            .raw("budget", self.budget)
+            .raw("threads", self.threads)
+            .str("machine", &self.machine);
         if let Some(ms) = self.deadline_ms {
-            push_raw_field(&mut out, "deadline_ms", ms);
+            w.raw("deadline_ms", ms);
         }
-        finish(out)
+        w.finish()
     }
 
     /// Parses one request line.
@@ -163,17 +167,12 @@ impl Request {
     /// A [`ProtoError`] naming what is wrong, carrying whatever request
     /// id could be salvaged so the error reply still correlates.
     pub fn parse(line: &str) -> Result<Request, ProtoError> {
-        let fields = parse_object(line).ok_or_else(|| ProtoError {
+        let fields = read_whole_line(line).ok_or_else(|| ProtoError {
             id: salvage_id(line),
             code: codes::PARSE,
             message: "request is not a flat JSON object".to_string(),
         })?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-        };
+        let get = |key: &str| fields.get(key);
         let id = get("id").unwrap_or_default().to_string();
         let fail = |code: &'static str, message: String| ProtoError {
             id: id.clone(),
@@ -303,46 +302,32 @@ impl Response {
         self
     }
 
+    fn get(&self, key: &str) -> Option<&WireValue> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
     /// Looks a string field up.
     pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| {
-                if let WireValue::Str(s) = v {
-                    Some(s.as_str())
-                } else {
-                    None
-                }
-            })
+        match self.get(key)? {
+            WireValue::Str(s) => Some(s),
+            _ => None,
+        }
     }
 
     /// Looks an integer field up.
     pub fn get_u64(&self, key: &str) -> Option<u64> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| {
-                if let WireValue::U64(n) = v {
-                    Some(*n)
-                } else {
-                    None
-                }
-            })
+        match self.get(key)? {
+            WireValue::U64(n) => Some(*n),
+            _ => None,
+        }
     }
 
     /// Looks an exact-double field up.
     pub fn get_f64(&self, key: &str) -> Option<f64> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| {
-                if let WireValue::F64(x) = v {
-                    Some(*x)
-                } else {
-                    None
-                }
-            })
+        match self.get(key)? {
+            WireValue::F64(x) => Some(*x),
+            _ => None,
+        }
     }
 
     /// The `code` of an error response.
@@ -356,20 +341,17 @@ impl Response {
 
     /// Encodes the response as one wire line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut out = String::from("{");
-        push_str_field(&mut out, "id", &self.id);
-        push_str_field(&mut out, "status", if self.ok { "ok" } else { "error" });
+        let mut w = FlatWriter::new();
+        w.str("id", &self.id)
+            .str("status", if self.ok { "ok" } else { "error" });
         for (key, value) in &self.fields {
             match value {
-                WireValue::Str(s) => push_str_field(&mut out, key, s),
-                WireValue::U64(n) => push_raw_field(&mut out, key, n),
-                WireValue::F64(x) => {
-                    push_str_field(&mut out, key, &format!("{:016x}", x.to_bits()));
-                    push_raw_field(&mut out, &format!("{key}_dec"), format!("{x:.6}"));
-                }
-            }
+                WireValue::Str(s) => w.str(key, s),
+                WireValue::U64(n) => w.raw(key, n),
+                WireValue::F64(x) => w.f64(key, *x),
+            };
         }
-        finish(out)
+        w.finish()
     }
 
     /// Parses one response line (the client side of the codec).
@@ -379,19 +361,13 @@ impl Response {
     /// quoted values as [`WireValue::Str`], unquoted integers as
     /// [`WireValue::U64`].
     pub fn parse(line: &str) -> Result<Response, ProtoError> {
-        let fields = parse_object_typed(line).ok_or_else(|| ProtoError {
+        let line = read_whole_line(line).ok_or_else(|| ProtoError {
             id: String::new(),
             code: codes::PARSE,
             message: "response is not a flat JSON object".to_string(),
         })?;
-        let find = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _, _)| k == key)
-                .map(|(_, v, q)| (v.as_str(), *q))
-        };
-        let id = find("id").map(|(v, _)| v.to_string()).unwrap_or_default();
-        let ok = match find("status").map(|(v, _)| v) {
+        let id = line.get("id").unwrap_or_default().to_string();
+        let ok = match line.get("status") {
             Some("ok") => true,
             Some("error") => false,
             _ => {
@@ -403,24 +379,28 @@ impl Response {
             }
         };
         let mut payload = Vec::new();
-        for (key, value, quoted) in &fields {
+        for field in &line.fields {
+            let (key, value) = (field.key.as_ref(), field.value.as_ref());
             if key == "id" || key == "status" || key.ends_with("_dec") {
                 continue;
             }
-            let has_dec = fields.iter().any(|(k, _, _)| *k == format!("{key}_dec"));
-            let wire = if *quoted && has_dec && value.len() == 16 {
+            let has_dec = line
+                .fields
+                .iter()
+                .any(|f| f.key.strip_suffix("_dec") == Some(key));
+            let wire = if field.quoted && has_dec && value.len() == 16 {
                 match u64::from_str_radix(value, 16) {
                     Ok(bits) => WireValue::F64(f64::from_bits(bits)),
-                    Err(_) => WireValue::Str(value.clone()),
+                    Err(_) => WireValue::Str(value.to_string()),
                 }
-            } else if *quoted {
-                WireValue::Str(value.clone())
+            } else if field.quoted {
+                WireValue::Str(value.to_string())
             } else if let Ok(n) = value.parse::<u64>() {
                 WireValue::U64(n)
             } else {
-                WireValue::Str(value.clone())
+                WireValue::Str(value.to_string())
             };
-            payload.push((key.clone(), wire));
+            payload.push((key.to_string(), wire));
         }
         Ok(Response {
             id,
@@ -430,103 +410,10 @@ impl Response {
     }
 }
 
-// ---------------------------------------------------------------------
-// Flat JSON codec (same dialect as the store's record codec)
-// ---------------------------------------------------------------------
-
-fn escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    escape(value, out);
-    out.push(',');
-}
-
-fn push_raw_field(out: &mut String, key: &str, value: impl fmt::Display) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-    out.push(',');
-}
-
-fn finish(mut out: String) -> String {
-    if out.ends_with(',') {
-        out.pop();
-    }
-    out.push('}');
-    out
-}
-
-/// Parses a flat JSON object into `(key, value)` pairs, values as
-/// unescaped text.
-fn parse_object(line: &str) -> Option<Vec<(String, String)>> {
-    parse_object_typed(line).map(|fields| fields.into_iter().map(|(k, v, _)| (k, v)).collect())
-}
-
-/// Like `parse_object` but also reports whether each value was quoted,
-/// which is how the response parser recovers types.
-fn parse_object_typed(line: &str) -> Option<Vec<(String, String, bool)>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut fields = Vec::new();
-    loop {
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                // Trailing garbage after the object is a malformed line.
-                return if chars.next().is_none() {
-                    Some(fields)
-                } else {
-                    None
-                };
-            }
-            ',' | ' ' => {
-                chars.next();
-            }
-            '"' => {
-                let key = parse_string(&mut chars)?;
-                skip_ws(&mut chars);
-                if chars.next()? != ':' {
-                    return None;
-                }
-                skip_ws(&mut chars);
-                let (value, quoted) = if chars.peek() == Some(&'"') {
-                    (parse_string(&mut chars)?, true)
-                } else {
-                    let mut raw = String::new();
-                    while let Some(&c) = chars.peek() {
-                        if c == ',' || c == '}' {
-                            break;
-                        }
-                        raw.push(c);
-                        chars.next();
-                    }
-                    (raw.trim().to_string(), false)
-                };
-                fields.push((key, value, quoted));
-            }
-            _ => return None,
-        }
-    }
+/// Reads a whole line as one flat object; a line with text after its
+/// closing `}` is malformed.
+fn read_whole_line(line: &str) -> Option<FlatObject<'_>> {
+    read_flat(line).ok().filter(|object| object.rest.is_empty())
 }
 
 /// Best-effort id extraction from a line that failed to parse, so even
@@ -535,61 +422,16 @@ fn salvage_id(line: &str) -> String {
     let Some(pos) = line.find("\"id\":") else {
         return String::new();
     };
-    let mut chars = line[pos + 5..].trim_start().chars().peekable();
-    parse_string(&mut chars).unwrap_or_default()
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek() == Some(&' ') {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
+    read_string(line[pos + 5..].trim_start())
+        .map(Cow::into_owned)
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
+    // Byte-exact round trips of requests and responses, and the
+    // refusal codes, are pinned in `tests/line_codec.rs`.
     use super::*;
-
-    #[test]
-    fn request_round_trips() {
-        let mut req = Request::new("r-1", Op::Tune);
-        req.kernel = "dgemm".into();
-        req.search = "exhaustive".into();
-        req.seed = 11;
-        req.budget = 24;
-        req.threads = 4;
-        req.machine = "manycore".into();
-        req.deadline_ms = Some(5000);
-        let line = req.encode();
-        assert_eq!(Request::parse(&line).unwrap(), req);
-    }
 
     #[test]
     fn request_defaults_fill_missing_fields() {
@@ -620,31 +462,11 @@ mod tests {
     }
 
     #[test]
-    fn response_round_trips_f64_bit_exactly() {
-        let ms = 1.0 / 3.0 + 1e-13;
-        let resp = Response::ok("r-2")
-            .with_str("best_point", "tileI=i16;")
-            .with_u64("evaluations", 12)
-            .with_f64("best_ms", ms);
-        let line = resp.encode();
-        let back = Response::parse(&line).unwrap();
-        assert!(back.ok);
-        assert_eq!(back.get_str("best_point"), Some("tileI=i16;"));
-        assert_eq!(back.get_u64("evaluations"), Some(12));
-        assert_eq!(back.get_f64("best_ms").unwrap().to_bits(), ms.to_bits());
-    }
-
-    #[test]
     fn error_responses_carry_code_and_message() {
         let resp = Response::error("r-3", codes::PANIC, "worker died: boom");
         let back = Response::parse(&resp.encode()).unwrap();
         assert!(!back.ok);
         assert_eq!(back.error_code(), Some(codes::PANIC));
         assert_eq!(back.get_str("message"), Some("worker died: boom"));
-    }
-
-    #[test]
-    fn trailing_garbage_is_malformed() {
-        assert!(Request::parse(r#"{"id":"x","op":"ping"} extra"#).is_err());
     }
 }

@@ -30,11 +30,11 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead as _, BufReader, Write as _};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use locus_core::{suggest_with_sharded_store, LocusSystem, StoreHandle, TuneRequest};
@@ -52,11 +52,9 @@ use locus_trace::{tag_events, to_jsonl, Tracer};
 use crate::protocol::{codes, Op, Request, Response, MAX_LINE};
 use crate::sched::FairScheduler;
 
-/// How long a blocked connection read waits before re-checking the
-/// shutdown flag; bounds how long stopping waits for idle connections.
-/// (The acceptor blocks outright and is woken by [`wake_acceptor`]; it
-/// also backs off this long after a failed accept.)
-const POLL: Duration = Duration::from_millis(50);
+/// How long the acceptor backs off after a failed accept. (It
+/// otherwise blocks outright and is woken by [`wake_acceptor`].)
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Configuration of one daemon instance.
 #[derive(Debug, Clone)]
@@ -102,27 +100,59 @@ struct Job {
     enqueued: Instant,
 }
 
+/// What stopping the daemon touches, shared by the service threads and
+/// the [`Daemon`] handle.
+struct Control {
+    shutdown: AtomicBool,
+    sched: FairScheduler<Job>,
+    /// A clone of each live connection's stream, by connection number.
+    /// Shutting their read halves down ends every blocked read at once,
+    /// while in-flight replies can still be written.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// The bound listen address, which [`wake_acceptor`] connects to.
+    addr: SocketAddr,
+}
+
+impl Control {
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.sched.shutdown();
+        for stream in self.live().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        wake_acceptor(self.addr);
+    }
+
+    fn live(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers a new connection's stream, unless shutdown has begun.
+    /// The flag is read under the lock [`Control::begin_shutdown`]
+    /// takes after setting it, so either that sees this stream or this
+    /// sees the flag.
+    fn register(&self, conn: u64, stream: TcpStream) -> bool {
+        let mut live = self.live();
+        if self.shutdown.load(Ordering::SeqCst) {
+            return false;
+        }
+        live.insert(conn, stream);
+        true
+    }
+}
+
 /// State shared by the accept loop, reader threads, and workers.
 struct Shared {
     config: DaemonConfig,
     store: ShardedStore,
     registry: HashMap<String, CorpusEntry>,
     profiles: HashMap<String, MachineConfig>,
-    sched: Arc<FairScheduler<Job>>,
-    shutdown: Arc<AtomicBool>,
+    control: Arc<Control>,
     trace: Option<Mutex<std::fs::File>>,
     next_conn: AtomicU64,
-    /// The bound listen address, which [`wake_acceptor`] connects to.
-    addr: SocketAddr,
 }
 
 impl Shared {
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.sched.shutdown();
-        wake_acceptor(self.addr);
-    }
-
     /// Tags a finished request's trace events with its id and appends
     /// them to the shared trace log (no-op without one).
     fn append_trace(&self, request_id: &str, events: Vec<locus_trace::Event>) {
@@ -138,15 +168,15 @@ impl Shared {
 
 /// A running `locusd` instance; stops (and joins its threads) on drop.
 pub struct Daemon {
-    addr: SocketAddr,
-    sched: Arc<FairScheduler<Job>>,
-    shutdown: Arc<AtomicBool>,
+    control: Arc<Control>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Daemon {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Daemon").field("addr", &self.addr).finish()
+        f.debug_struct("Daemon")
+            .field("addr", &self.control.addr)
+            .finish()
     }
 }
 
@@ -170,8 +200,12 @@ impl Daemon {
             )),
             None => None,
         };
-        let sched = Arc::new(FairScheduler::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let control = Arc::new(Control {
+            shutdown: AtomicBool::new(false),
+            sched: FairScheduler::new(),
+            conns: Mutex::new(HashMap::new()),
+            addr,
+        });
         let shared = Shared {
             registry: all_programs()
                 .into_iter()
@@ -183,11 +217,9 @@ impl Daemon {
                 .collect(),
             config,
             store,
-            sched: sched.clone(),
-            shutdown: shutdown.clone(),
+            control: control.clone(),
             trace,
             next_conn: AtomicU64::new(0),
-            addr,
         };
         let handle = std::thread::spawn(move || {
             std::thread::scope(|scope| {
@@ -198,25 +230,23 @@ impl Daemon {
             });
         });
         Ok(Daemon {
-            addr,
-            sched,
-            shutdown,
+            control,
             handle: Some(handle),
         })
     }
 
     /// The bound listen address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.control.addr
     }
 
     /// Requests shutdown and joins every service thread. Queued but
-    /// unstarted requests are dropped; in-flight requests finish first.
+    /// unstarted requests are dropped; in-flight requests finish first
+    /// and still reply. Idle connections are ended at once: their read
+    /// halves are shut down.
     pub fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.sched.shutdown();
         if let Some(handle) = self.handle.take() {
-            wake_acceptor(self.addr);
+            self.control.begin_shutdown();
             let _ = handle.join();
         }
     }
@@ -246,14 +276,15 @@ fn accept_loop<'scope>(
     shared: &'scope Shared,
     listener: TcpListener,
 ) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    let shutdown = &shared.control.shutdown;
+    while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok(_) if shared.shutdown.load(Ordering::SeqCst) => return,
+            Ok(_) if shutdown.load(Ordering::SeqCst) => return,
             Ok((stream, _peer)) => {
                 let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
                 scope.spawn(move || serve_connection(shared, conn, stream));
             }
-            Err(_) => std::thread::sleep(POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -288,22 +319,19 @@ enum LineRead {
     Line(String),
     /// A line that exceeded [`MAX_LINE`]; its content was discarded.
     Oversized,
-    /// Connection closed (EOF) or shutdown requested.
+    /// Connection closed (EOF, or its read half shut down by
+    /// [`Control::begin_shutdown`]) or failed.
     Closed,
 }
 
 /// Reads one newline-terminated request line, bounding memory at
-/// [`MAX_LINE`] and re-checking the shutdown flag on every read
-/// timeout. A truncated final line (EOF before the newline) is
-/// returned as a line so the client still gets a structured parse
-/// error.
-fn read_request_line(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> LineRead {
+/// [`MAX_LINE`]. The read blocks until data, EOF or an error arrives.
+/// A truncated final line (EOF before the newline) is returned as a
+/// line so the client still gets a structured parse error.
+fn read_request_line(reader: &mut BufReader<TcpStream>) -> LineRead {
     let mut line: Vec<u8> = Vec::new();
     let mut oversized = false;
     loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return LineRead::Closed;
-        }
         let (consumed, done) = match reader.fill_buf() {
             Ok([]) => {
                 // EOF: a partial line still gets parsed (and refused).
@@ -334,13 +362,7 @@ fn read_request_line(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -
                     (available.len(), false)
                 }
             },
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return LineRead::Closed,
         };
         reader.consume(consumed);
@@ -355,18 +377,21 @@ fn read_request_line(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -
 }
 
 /// One connection's reader loop: parse lines, answer cheap ops inline,
-/// schedule the rest.
+/// schedule the rest. The stream is registered with [`Control`] while
+/// the loop runs, so stopping the daemon can end its blocked read.
 fn serve_connection(shared: &Shared, conn: u64, stream: TcpStream) {
-    stream.set_read_timeout(Some(POLL)).ok();
     stream.set_nodelay(true).ok();
-    let reply = match stream.try_clone() {
-        Ok(clone) => Arc::new(Mutex::new(clone)),
-        Err(_) => return,
+    let (Ok(reply), Ok(watched)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
     };
+    if !shared.control.register(conn, watched) {
+        return;
+    }
+    let reply = Arc::new(Mutex::new(reply));
     let mut reader = BufReader::new(stream);
     loop {
-        match read_request_line(&mut reader, &shared.shutdown) {
-            LineRead::Closed => return,
+        match read_request_line(&mut reader) {
+            LineRead::Closed => break,
             LineRead::Oversized => send(
                 &reply,
                 &Response::error(
@@ -395,10 +420,10 @@ fn serve_connection(shared: &Shared, conn: u64, stream: TcpStream) {
                     Op::Compact => send(&reply, &compact_response(shared, &request)),
                     Op::Shutdown => {
                         send(&reply, &Response::ok(&request.id));
-                        shared.begin_shutdown();
-                        return;
+                        shared.control.begin_shutdown();
+                        break;
                     }
-                    Op::Tune | Op::Suggest | Op::DebugPanic => shared.sched.push(
+                    Op::Tune | Op::Suggest | Op::DebugPanic => shared.control.sched.push(
                         conn,
                         Job {
                             request,
@@ -410,11 +435,12 @@ fn serve_connection(shared: &Shared, conn: u64, stream: TcpStream) {
             }
         }
     }
+    shared.control.live().remove(&conn);
 }
 
 /// Worker loop: pop fairly-scheduled jobs and run each supervised.
 fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.sched.pop() {
+    while let Some(job) = shared.control.sched.pop() {
         let response = supervise(shared, &job);
         send(&job.reply, &response);
     }
@@ -594,7 +620,7 @@ fn stats_response(shared: &Shared, request: &Request) -> Response {
     Response::ok(&request.id)
         .with_u64("evals", shared.store.len() as u64)
         .with_u64("shards", shared.store.shard_count() as u64)
-        .with_u64("queued", shared.sched.len() as u64)
+        .with_u64("queued", shared.control.sched.len() as u64)
         .with_u64("workers", shared.config.workers as u64)
         .with_u64("max_budget", shared.config.max_budget as u64)
 }

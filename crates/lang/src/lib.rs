@@ -22,8 +22,9 @@
 //! 1. [`parse`] turns source text into an AST whose search constructs
 //!    carry stable serial numbers;
 //! 2. [`optimize::optimize`] applies the paper's Sec. IV-C program
-//!    optimizations (query pre-evaluation hooks, constant propagation,
-//!    constant folding, dead-code elimination), shrinking the space;
+//!    optimizations (constant propagation, constant folding,
+//!    dead-code elimination), shrinking the space once the system has
+//!    substituted query results (`locus_core::subst`);
 //! 3. [`extract::extract_space`] converts the program into a
 //!    [`locus_space::Space`] (the `convertOptUniverse` step of
 //!    Sec. IV-B), inferring dependent-range bounds by data flow;

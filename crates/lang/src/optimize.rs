@@ -3,10 +3,11 @@
 //! Before a program's space is converted for a search module, the system
 //! applies:
 //!
-//! 1. **Query pre-evaluation** ([`substitute_queries`]) — `Query`
-//!    operations used by search constructs must be known before the
-//!    search starts, so they are executed once against the region and
-//!    their results replace the calls;
+//! 1. **Query pre-evaluation** — `Query` operations used by search
+//!    constructs must be known before the search starts, so they are
+//!    executed once against the region and their results replace the
+//!    calls. The system does this (`locus_core::subst`), since only it
+//!    holds the region; it inlines results with [`value_to_expr_pub`];
 //! 2. **Constant propagation, constant folding and dead-code
 //!    elimination** ([`optimize`]) — with query results inlined, entire
 //!    conditional arms become statically dead (e.g. everything guarded
@@ -19,11 +20,6 @@ use crate::ast::*;
 use crate::interp::binary_values;
 use crate::value::Value;
 
-/// Resolver callback for [`substitute_queries`]: receives the module,
-/// function and literal arguments of a call; `Some(value)` substitutes.
-pub type QueryResolver<'a> =
-    &'a mut dyn FnMut(&str, &str, &[(Option<String>, Value)]) -> Option<Value>;
-
 /// Statistics of one optimizer run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptStats {
@@ -31,168 +27,6 @@ pub struct OptStats {
     pub folded: usize,
     /// Conditional branches removed as dead.
     pub branches_removed: usize,
-    /// Query calls substituted.
-    pub queries_substituted: usize,
-}
-
-/// Replaces query invocations with their (pre-computed) results.
-///
-/// `resolve` receives `(module, function, literal args)` for every module
-/// call whose arguments are compile-time literals; returning
-/// `Some(value)` substitutes the call (queries), `None` leaves it in
-/// place (transformations).
-pub fn substitute_queries(program: &mut LocusProgram, resolve: QueryResolver<'_>) -> OptStats {
-    let mut stats = OptStats::default();
-    let mut items = std::mem::take(&mut program.items);
-    for item in &mut items {
-        for block in item_blocks(item) {
-            subst_block(block, resolve, &mut stats);
-        }
-    }
-    program.items = items;
-    stats
-}
-
-fn item_blocks(item: &mut LItem) -> Vec<&mut LBlock> {
-    match item {
-        LItem::CodeReg { body, .. }
-        | LItem::OptSeq { body, .. }
-        | LItem::Query { body, .. }
-        | LItem::ModuleDecl { body, .. }
-        | LItem::Def { body, .. }
-        | LItem::SearchBlock(body) => vec![body],
-        LItem::Stmt(stmt) => {
-            // Wrap in a helper: collect blocks within the statement by
-            // walking it below (handled by subst_stmt directly).
-            let _ = stmt;
-            Vec::new()
-        }
-        _ => Vec::new(),
-    }
-}
-
-fn subst_block(block: &mut LBlock, resolve: QueryResolver<'_>, stats: &mut OptStats) {
-    for alt in &mut block.alternatives {
-        for stmt in alt {
-            subst_stmt(stmt, resolve, stats);
-        }
-    }
-}
-
-fn subst_stmt(stmt: &mut LStmt, resolve: QueryResolver<'_>, stats: &mut OptStats) {
-    match stmt {
-        LStmt::Expr(e) | LStmt::Print(e) | LStmt::Return(Some(e)) => subst_expr(e, resolve, stats),
-        LStmt::Assign { targets, value } => {
-            for t in targets {
-                subst_expr(t, resolve, stats);
-            }
-            subst_expr(value, resolve, stats);
-        }
-        LStmt::Optional { stmt, .. } => subst_stmt(stmt, resolve, stats),
-        LStmt::Block(b) => subst_block(b, resolve, stats),
-        LStmt::If {
-            cond,
-            then,
-            elifs,
-            els,
-        } => {
-            subst_expr(cond, resolve, stats);
-            subst_block(then, resolve, stats);
-            for (c, b) in elifs {
-                subst_expr(c, resolve, stats);
-                subst_block(b, resolve, stats);
-            }
-            if let Some(b) = els {
-                subst_block(b, resolve, stats);
-            }
-        }
-        LStmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            subst_stmt(init, resolve, stats);
-            subst_expr(cond, resolve, stats);
-            subst_stmt(step, resolve, stats);
-            subst_block(body, resolve, stats);
-        }
-        LStmt::While { cond, body } => {
-            subst_expr(cond, resolve, stats);
-            subst_block(body, resolve, stats);
-        }
-        LStmt::Return(None) | LStmt::Pass => {}
-    }
-}
-
-fn subst_expr(e: &mut LExpr, resolve: QueryResolver<'_>, stats: &mut OptStats) {
-    // Recurse first so nested query calls in arguments substitute.
-    match e {
-        LExpr::List(items) | LExpr::Tuple(items) => {
-            for i in items {
-                subst_expr(i, resolve, stats);
-            }
-        }
-        LExpr::Dict(entries) => {
-            for (_, v) in entries {
-                subst_expr(v, resolve, stats);
-            }
-        }
-        LExpr::Attr { base, .. } => subst_expr(base, resolve, stats),
-        LExpr::Index { base, index } => {
-            subst_expr(base, resolve, stats);
-            subst_expr(index, resolve, stats);
-        }
-        LExpr::Range { lo, hi, step } => {
-            subst_expr(lo, resolve, stats);
-            subst_expr(hi, resolve, stats);
-            if let Some(s) = step {
-                subst_expr(s, resolve, stats);
-            }
-        }
-        LExpr::Neg(i) | LExpr::Not(i) => subst_expr(i, resolve, stats),
-        LExpr::Binary { lhs, rhs, .. } => {
-            subst_expr(lhs, resolve, stats);
-            subst_expr(rhs, resolve, stats);
-        }
-        LExpr::Search { args, .. } => {
-            for a in args {
-                subst_expr(a, resolve, stats);
-            }
-        }
-        LExpr::OrExpr { options, .. } => {
-            for o in options {
-                subst_expr(o, resolve, stats);
-            }
-        }
-        LExpr::Call { callee, args } => {
-            for a in args.iter_mut() {
-                subst_expr(&mut a.value, resolve, stats);
-            }
-            if let LExpr::Attr { base, name } = callee.as_ref() {
-                if let LExpr::Ident(module) = base.as_ref() {
-                    let mut literal_args = Vec::with_capacity(args.len());
-                    let mut all_literal = true;
-                    for a in args.iter() {
-                        match expr_to_value(&a.value) {
-                            Some(v) => literal_args.push((a.name.clone(), v)),
-                            None => {
-                                all_literal = false;
-                                break;
-                            }
-                        }
-                    }
-                    if all_literal {
-                        if let Some(result) = resolve(module, name, &literal_args) {
-                            stats.queries_substituted += 1;
-                            *e = value_to_expr(&result);
-                        }
-                    }
-                }
-            }
-        }
-        _ => {}
-    }
 }
 
 /// Applies constant propagation, folding and dead-code elimination.
@@ -208,12 +42,16 @@ pub fn optimize(program: &mut LocusProgram) -> OptStats {
                     let mut env = HashMap::new();
                     opt_stmt(stmt, &mut env, &mut stats);
                 }
-                other => {
-                    for block in item_blocks(other) {
-                        let mut env = HashMap::new();
-                        opt_block(block, &mut env, &mut stats);
-                    }
+                LItem::CodeReg { body, .. }
+                | LItem::OptSeq { body, .. }
+                | LItem::Query { body, .. }
+                | LItem::ModuleDecl { body, .. }
+                | LItem::Def { body, .. }
+                | LItem::SearchBlock(body) => {
+                    let mut env = HashMap::new();
+                    opt_block(body, &mut env, &mut stats);
                 }
+                _ => {}
             }
         }
         program.items = items;
@@ -706,46 +544,6 @@ mod tests {
         optimize(&mut program);
         let info = extract_space(&program).unwrap();
         assert_eq!(info.space.len(), 1, "only the elif branch survives");
-    }
-
-    #[test]
-    fn query_substitution_enables_extraction() {
-        let src = r#"
-        CodeReg scop {
-            depth = BuiltIn.LoopNestDepth();
-            permorder = permutation(seq(0, depth));
-            RoseLocus.Interchange(order=permorder);
-        }
-        "#;
-        let mut program = parse(src).unwrap();
-        let stats = substitute_queries(&mut program, &mut |module, func, _args| {
-            if module == "BuiltIn" && func == "LoopNestDepth" {
-                Some(Value::Int(3))
-            } else {
-                None
-            }
-        });
-        assert_eq!(stats.queries_substituted, 1);
-        optimize(&mut program);
-        let info = extract_space(&program).unwrap();
-        assert_eq!(
-            info.space.param("permorder").unwrap().kind,
-            locus_space::ParamKind::Permutation(3)
-        );
-    }
-
-    #[test]
-    fn transformations_are_not_substituted() {
-        let src = "CodeReg r { RoseLocus.Unroll(factor=4); }";
-        let mut program = parse(src).unwrap();
-        let stats = substitute_queries(&mut program, &mut |_, _, _| None);
-        assert_eq!(stats.queries_substituted, 0);
-        // The call is still there.
-        let body = program.codereg("r").unwrap();
-        assert!(matches!(
-            &body.alternatives[0][0],
-            LStmt::Expr(LExpr::Call { .. })
-        ));
     }
 
     #[test]

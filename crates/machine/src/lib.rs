@@ -246,28 +246,14 @@ impl Machine {
     /// Returns [`RuntimeError`] for undefined names, out-of-bounds
     /// accesses, unsupported constructs, or fuel exhaustion.
     pub fn run(&self, program: &Program, entry: &str) -> Result<Measurement, RuntimeError> {
-        match self.config.engine {
-            ExecEngine::Tree => {
-                let mut interp = Interp::new(program, &self.config)?;
-                interp.run(entry)
-            }
-            ExecEngine::RegisterVm => {
-                // Validate the cache geometry *before* compiling so
-                // configuration errors take precedence over program
-                // errors, matching `Interp::new`'s order.
-                let cache = cache::CacheHierarchy::new(&self.config.cache)
-                    .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
-                let exe = regalloc::compile(program, &self.config, entry)?;
-                vm::run(&exe, &self.config, cache)
-            }
-        }
+        self.run_traced(program, entry, &locus_trace::Tracer::disabled())
     }
 
     /// Like [`Machine::run`], but emits `machine`-category spans into
     /// `tracer` around each internal stage (register compilation and VM
-    /// execution, or tree interpretation). With a disabled tracer this
-    /// is exactly `run` — the span guards compile to no-ops — so the
-    /// traced and untraced paths cannot diverge.
+    /// execution, or tree interpretation). `run` is this with a
+    /// disabled tracer, whose span guards are no-ops, so the traced and
+    /// untraced paths cannot diverge.
     pub fn run_traced(
         &self,
         program: &Program,
@@ -281,6 +267,9 @@ impl Machine {
                 interp.run(entry)
             }
             ExecEngine::RegisterVm => {
+                // Validate the cache geometry *before* compiling so
+                // configuration errors take precedence over program
+                // errors, matching `Interp::new`'s order.
                 let cache = cache::CacheHierarchy::new(&self.config.cache)
                     .map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
                 let exe = {

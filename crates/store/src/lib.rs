@@ -24,8 +24,9 @@
 //!
 //! The on-disk format is versioned, line-oriented JSON (see
 //! [`record`]): a `#locus-store v1` header, then one record per line,
-//! append-only. No external dependencies; the codec is hand-rolled and
-//! skips unknown record kinds so the format can evolve.
+//! append-only. No external dependencies: the codec is the workspace's
+//! flat-JSON line codec ([`locus_trace::json`]), and decoding skips
+//! unknown record kinds so the format can evolve.
 //!
 //! Three service-grade mechanisms sit on top of the log:
 //!

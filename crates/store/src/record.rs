@@ -19,11 +19,16 @@
 //! Objectives are persisted as exact `f64` bit patterns (hex) next to a
 //! human-readable decimal: warm-started sessions must replay *bit
 //! identical* values, or cross-session determinism of the search
-//! trajectory would silently break. The codec is hand-rolled (the
-//! workspace has no serde) and tolerant: unknown keys are ignored and
-//! unknown kinds are skipped, so the format can grow.
+//! trajectory would silently break. The codec is the workspace's one
+//! flat-JSON line codec, [`locus_trace::json`], shared with the trace
+//! log and the `locusd` wire protocol. Decoding is tolerant: unknown
+//! keys are ignored and unknown kinds are skipped, so the format can
+//! grow.
+
+use std::fmt::Write as _;
 
 use locus_search::Objective;
+use locus_trace::json::{read_flat, FlatObject, FlatWriter};
 
 /// Version tag written as the first line of every store file.
 pub const HEADER: &str = "#locus-store v1";
@@ -146,208 +151,84 @@ pub enum Record {
 }
 
 // ---------------------------------------------------------------------
-// Encoding
+// Encoding and decoding, on the shared `locus_trace::json` codec
 // ---------------------------------------------------------------------
 
-fn escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    escape(value, out);
-    out.push(',');
-}
-
-fn push_raw_field(out: &mut String, key: &str, value: impl std::fmt::Display) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-    out.push(',');
-}
-
-fn push_bits_field(out: &mut String, key: &str, value: f64) {
-    // Exact bit pattern first, approximate decimal for human readers.
-    push_str_field(out, key, &format!("{:016x}", value.to_bits()));
-    push_raw_field(out, &format!("{key}_dec"), format!("{value:.6}"));
-}
-
-fn key_fields(out: &mut String, key: &crate::StoreKey) {
-    let mut regions = String::new();
-    for (id, hash) in &key.regions {
-        regions.push_str(id);
-        regions.push(':');
-        regions.push_str(&format!("{hash:016x}"));
-        regions.push(',');
-    }
-    push_str_field(out, "regions", &regions);
-    push_str_field(out, "machine", &format!("{:016x}", key.machine));
-    push_str_field(out, "space", &format!("{:016x}", key.space));
-}
-
-/// Encodes an `eval` line (no trailing newline).
-pub fn encode_eval(key: &crate::StoreKey, r: &EvalRecord) -> String {
-    let mut out = String::from("{");
-    push_str_field(&mut out, "kind", "eval");
-    key_fields(&mut out, key);
-    push_str_field(&mut out, "point", &r.point_key);
-    push_str_field(&mut out, "variant", &format!("{:016x}", r.variant));
-    let (tag, ms) = match r.objective {
-        Objective::Value(v) => ("V", v),
-        Objective::Invalid => ("I", 0.0),
-        Objective::Error => ("E", 0.0),
-    };
-    push_str_field(&mut out, "obj", tag);
-    push_bits_field(&mut out, "ms", ms);
-    push_bits_field(&mut out, "cycles", r.cycles);
-    push_raw_field(&mut out, "ops", r.ops);
-    push_raw_field(&mut out, "flops", r.flops);
-    push_str_field(&mut out, "checksum", &format!("{:016x}", r.checksum));
-    push_str_field(&mut out, "search", &r.search);
-    push_raw_field(&mut out, "wall_ms", format!("{:.6}", r.wall_ms));
-    finish(out)
-}
-
-/// Encodes a `prune` line (no trailing newline).
-pub fn encode_prune(key: &crate::StoreKey, r: &PruneRecord) -> String {
-    let mut out = String::from("{");
-    push_str_field(&mut out, "kind", "prune");
-    key_fields(&mut out, key);
-    push_str_field(&mut out, "point", &r.point_key);
-    push_str_field(&mut out, "variant", &format!("{:016x}", r.variant));
-    push_str_field(&mut out, "reason", &r.reason);
-    push_str_field(&mut out, "provenance", &r.provenance);
-    push_str_field(&mut out, "search", &r.search);
-    finish(out)
-}
-
-/// Encodes a `session` line (no trailing newline).
-pub fn encode_session(key: &crate::StoreKey, r: &SessionRecord) -> String {
-    let mut out = String::from("{");
-    push_str_field(&mut out, "kind", "session");
-    key_fields(&mut out, key);
-    push_str_field(&mut out, "region", &r.region);
-    push_raw_field(&mut out, "depth", r.shape.depth);
-    push_raw_field(&mut out, "perfect", r.shape.perfect);
-    push_raw_field(&mut out, "deps", r.shape.deps_available);
-    push_raw_field(&mut out, "inner", r.shape.inner_loops);
-    push_raw_field(&mut out, "vec", r.shape.vectorizable);
-    push_str_field(&mut out, "best_point", &r.best_point);
-    push_bits_field(&mut out, "best_ms", r.best_ms);
-    push_str_field(&mut out, "recipe", &r.recipe);
-    push_str_field(&mut out, "search", &r.search);
-    finish(out)
-}
-
-fn finish(mut out: String) -> String {
-    if out.ends_with(',') {
-        out.pop();
-    }
-    out.push('}');
-    out
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-/// Parses a flat JSON object into key/value pairs. String values are
-/// unescaped; everything else (numbers, booleans) is kept verbatim.
-fn parse_object(line: &str) -> Option<Vec<(String, String)>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut fields = Vec::new();
-    loop {
-        match chars.peek()? {
-            '}' => return Some(fields),
-            ',' | ' ' => {
-                chars.next();
-            }
-            '"' => {
-                let key = parse_string(&mut chars)?;
-                skip_ws(&mut chars);
-                if chars.next()? != ':' {
-                    return None;
-                }
-                skip_ws(&mut chars);
-                let value = if chars.peek() == Some(&'"') {
-                    parse_string(&mut chars)?
-                } else {
-                    let mut raw = String::new();
-                    while let Some(&c) = chars.peek() {
-                        if c == ',' || c == '}' {
-                            break;
-                        }
-                        raw.push(c);
-                        chars.next();
-                    }
-                    raw.trim().to_string()
-                };
-                fields.push((key, value));
-            }
-            _ => return None,
-        }
-    }
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek() == Some(&' ') {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
+fn hex(v: u64) -> String {
+    format!("{v:016x}")
 }
 
 fn hex64(s: &str) -> Option<u64> {
     u64::from_str_radix(s, 16).ok()
 }
 
-fn parse_key(get: &impl Fn(&str) -> Option<String>) -> Option<crate::StoreKey> {
+fn key_fields(w: &mut FlatWriter, key: &crate::StoreKey) {
+    let mut regions = String::new();
+    for (id, hash) in &key.regions {
+        let _ = write!(regions, "{id}:{hash:016x},");
+    }
+    w.str("regions", &regions)
+        .str("machine", &hex(key.machine))
+        .str("space", &hex(key.space));
+}
+
+/// Encodes an `eval` line (no trailing newline).
+pub fn encode_eval(key: &crate::StoreKey, r: &EvalRecord) -> String {
+    let mut w = FlatWriter::new();
+    w.str("kind", "eval");
+    key_fields(&mut w, key);
+    let (tag, ms) = match r.objective {
+        Objective::Value(v) => ("V", v),
+        Objective::Invalid => ("I", 0.0),
+        Objective::Error => ("E", 0.0),
+    };
+    w.str("point", &r.point_key)
+        .str("variant", &hex(r.variant))
+        .str("obj", tag)
+        .f64("ms", ms)
+        .f64("cycles", r.cycles)
+        .raw("ops", r.ops)
+        .raw("flops", r.flops)
+        .str("checksum", &hex(r.checksum))
+        .str("search", &r.search)
+        .raw("wall_ms", format_args!("{:.6}", r.wall_ms));
+    w.finish()
+}
+
+/// Encodes a `prune` line (no trailing newline).
+pub fn encode_prune(key: &crate::StoreKey, r: &PruneRecord) -> String {
+    let mut w = FlatWriter::new();
+    w.str("kind", "prune");
+    key_fields(&mut w, key);
+    w.str("point", &r.point_key)
+        .str("variant", &hex(r.variant))
+        .str("reason", &r.reason)
+        .str("provenance", &r.provenance)
+        .str("search", &r.search);
+    w.finish()
+}
+
+/// Encodes a `session` line (no trailing newline).
+pub fn encode_session(key: &crate::StoreKey, r: &SessionRecord) -> String {
+    let mut w = FlatWriter::new();
+    w.str("kind", "session");
+    key_fields(&mut w, key);
+    w.str("region", &r.region)
+        .raw("depth", r.shape.depth)
+        .raw("perfect", r.shape.perfect)
+        .raw("deps", r.shape.deps_available)
+        .raw("inner", r.shape.inner_loops)
+        .raw("vec", r.shape.vectorizable)
+        .str("best_point", &r.best_point)
+        .f64("best_ms", r.best_ms)
+        .str("recipe", &r.recipe)
+        .str("search", &r.search);
+    w.finish()
+}
+
+fn parse_key(line: &FlatObject<'_>) -> Option<crate::StoreKey> {
     let mut regions = Vec::new();
-    for entry in get("regions")?.split(',') {
+    for entry in line.get("regions")?.split(',') {
         if entry.is_empty() {
             continue;
         }
@@ -356,27 +237,25 @@ fn parse_key(get: &impl Fn(&str) -> Option<String>) -> Option<crate::StoreKey> {
     }
     Some(crate::StoreKey::new(
         regions,
-        hex64(&get("machine")?)?,
-        hex64(&get("space")?)?,
+        hex64(line.get("machine")?)?,
+        hex64(line.get("space")?)?,
     ))
 }
 
 /// Decodes one store line. Returns `None` for lines this version does
 /// not understand (malformed, or a future record kind) — callers skip
-/// them so old binaries tolerate newer files.
+/// them so old binaries tolerate newer files. Text after the closing
+/// `}` is ignored.
 pub fn decode(line: &str) -> Option<Record> {
-    let fields = parse_object(line)?;
-    let get = |key: &str| -> Option<String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-    };
-    let key = parse_key(&get)?;
-    match get("kind")?.as_str() {
+    let line = read_flat(line).ok()?;
+    let text = |key: &str| line.get(key).map(str::to_string);
+    let bits = |key: &str| Some(f64::from_bits(hex64(line.get(key)?)?));
+    let flag = |key: &str| Some(line.get(key)? == "true");
+    let key = parse_key(&line)?;
+    match line.get("kind")? {
         "eval" => {
-            let objective = match get("obj")?.as_str() {
-                "V" => Objective::Value(f64::from_bits(hex64(&get("ms")?)?)),
+            let objective = match line.get("obj")? {
+                "V" => Objective::Value(bits("ms")?),
                 "I" => Objective::Invalid,
                 "E" => Objective::Error,
                 _ => return None,
@@ -384,43 +263,43 @@ pub fn decode(line: &str) -> Option<Record> {
             Some(Record::Eval {
                 key,
                 record: EvalRecord {
-                    point_key: get("point")?,
-                    variant: hex64(&get("variant")?)?,
+                    point_key: text("point")?,
+                    variant: hex64(line.get("variant")?)?,
                     objective,
-                    cycles: f64::from_bits(hex64(&get("cycles")?)?),
-                    ops: get("ops")?.parse().ok()?,
-                    flops: get("flops")?.parse().ok()?,
-                    checksum: hex64(&get("checksum")?)?,
-                    search: get("search")?,
-                    wall_ms: get("wall_ms")?.parse().ok()?,
+                    cycles: bits("cycles")?,
+                    ops: line.get("ops")?.parse().ok()?,
+                    flops: line.get("flops")?.parse().ok()?,
+                    checksum: hex64(line.get("checksum")?)?,
+                    search: text("search")?,
+                    wall_ms: line.get("wall_ms")?.parse().ok()?,
                 },
             })
         }
         "prune" => Some(Record::Prune {
             key,
             record: PruneRecord {
-                point_key: get("point")?,
-                variant: hex64(&get("variant")?)?,
-                reason: get("reason")?,
-                provenance: get("provenance").unwrap_or_else(|| "conservative".into()),
-                search: get("search")?,
+                point_key: text("point")?,
+                variant: hex64(line.get("variant")?)?,
+                reason: text("reason")?,
+                provenance: text("provenance").unwrap_or_else(|| "conservative".into()),
+                search: text("search")?,
             },
         }),
         "session" => Some(Record::Session {
             key,
             record: SessionRecord {
-                region: get("region")?,
+                region: text("region")?,
                 shape: RegionShape {
-                    depth: get("depth")?.parse().ok()?,
-                    perfect: get("perfect")? == "true",
-                    deps_available: get("deps")? == "true",
-                    inner_loops: get("inner")?.parse().ok()?,
-                    vectorizable: get("vec")? == "true",
+                    depth: line.get("depth")?.parse().ok()?,
+                    perfect: flag("perfect")?,
+                    deps_available: flag("deps")?,
+                    inner_loops: line.get("inner")?.parse().ok()?,
+                    vectorizable: flag("vec")?,
                 },
-                best_point: get("best_point")?,
-                best_ms: f64::from_bits(hex64(&get("best_ms")?)?),
-                recipe: get("recipe")?,
-                search: get("search")?,
+                best_point: text("best_point")?,
+                best_ms: bits("best_ms")?,
+                recipe: text("recipe")?,
+                search: text("search")?,
             },
         }),
         _ => None,

@@ -1,18 +1,31 @@
-//! Hand-rolled exporters and parser for trace events (the workspace
-//! has no serde).
+//! The workspace's one line codec: flat JSON objects, one per line,
+//! hand-rolled (the workspace has no serde).
 //!
-//! The JSONL format is one flat object per line:
+//! Three line formats are built on it:
 //!
-//! ```text
-//! {"cat":"phase","name":"prepare","ts_us":12,"dur_us":34,"lane":0,"args":{"regions":1}}
-//! ```
+//! * the trace JSONL this crate exports ([`to_jsonl`], read back by
+//!   [`from_jsonl`]) — the one format with a nested object, `args`:
 //!
-//! `dur_us` is omitted for instant events. [`from_jsonl`] inverts
-//! [`to_jsonl`] exactly (asserted by the round-trip tests); the Chrome
-//! `trace_event` exporter is write-only.
+//!   ```text
+//!   {"cat":"phase","name":"prepare","ts_us":12,"dur_us":34,"lane":0,"args":{"regions":1}}
+//!   ```
+//!
+//!   `dur_us` is omitted for instant events. The Chrome `trace_event`
+//!   exporter ([`to_chrome`]) is write-only;
+//! * the tuning store's record log (`locus-store`);
+//! * the `locusd` wire protocol (`locus-daemon`).
+//!
+//! The pieces: one string escape (inside [`FlatWriter`]) and one string
+//! unescape ([`read_string`]); a flat-object writer with string, raw
+//! and exact-`f64` fields ([`FlatWriter`]); a flat-object reader
+//! ([`read_flat`]) that keeps each value's text, whether it was quoted,
+//! and whatever follows the closing `}`; and one tokenizer behind both
+//! readers. What a caller does with text after the `}` is its own
+//! choice: the store ignores it, the daemon refuses the line.
 
+use std::borrow::Cow;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::{Event, Value};
 
@@ -37,88 +50,137 @@ impl fmt::Display for TraceParseError {
 
 impl Error for TraceParseError {}
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+// ---------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------
+
+/// Appends `s` as a quoted JSON string: `"` and `\` are escaped, as are
+/// newline, carriage return, tab and every other control character
+/// (`\u00XX`); everything else, non-ASCII included, passes through.
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every byte matched above is ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escaped);
         }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Writes one flat JSON object, fields in call order:
+///
+/// ```
+/// use locus_trace::json::FlatWriter;
+///
+/// let mut w = FlatWriter::new();
+/// w.str("kind", "eval").raw("ops", 12).f64("ms", 1.5);
+/// assert_eq!(
+///     w.finish(),
+///     r#"{"kind":"eval","ops":12,"ms":"3ff8000000000000","ms_dec":1.500000}"#
+/// );
+/// ```
+#[derive(Debug, Default)]
+pub struct FlatWriter {
+    out: String,
+}
+
+impl FlatWriter {
+    /// An object with no fields yet.
+    pub fn new() -> FlatWriter {
+        FlatWriter::default()
+    }
+
+    fn key(&mut self, key: &str) {
+        self.out.push(if self.out.is_empty() { '{' } else { ',' });
+        push_quoted(&mut self.out, key);
+        self.out.push(':');
+    }
+
+    /// A string field, escaped.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut FlatWriter {
+        self.key(key);
+        push_quoted(&mut self.out, value);
+        self
+    }
+
+    /// A field whose value is written verbatim (numbers, booleans,
+    /// nested objects).
+    pub fn raw(&mut self, key: &str, value: impl fmt::Display) -> &mut FlatWriter {
+        self.key(key);
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// An exact double: the 16-hex-digit bit pattern as a string, then
+    /// a `<key>_dec` sibling with an approximate decimal for human
+    /// readers (`NaN`, `inf` and `-inf` are written bare).
+    pub fn f64(&mut self, key: &str, value: f64) -> &mut FlatWriter {
+        self.key(key);
+        let _ = write!(self.out, "\"{:016x}\"", value.to_bits());
+        self.raw(&format!("{key}_dec"), format_args!("{value:.6}"))
+    }
+
+    /// The finished object (no trailing newline).
+    pub fn finish(mut self) -> String {
+        if self.out.is_empty() {
+            self.out.push('{');
+        }
+        self.out.push('}');
+        self.out
     }
 }
 
-fn push_value(out: &mut String, value: &Value) {
-    match value {
-        Value::Str(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
-        }
-        Value::U64(v) => {
-            out.push_str(&v.to_string());
-        }
-        Value::I64(v) => {
-            out.push_str(&format!("{v}"));
-        }
-        Value::F64(v) if v.is_finite() => {
-            // `{:?}` is Rust's shortest round-trip float form and always
-            // contains a `.` or exponent, so the parser can tell it from
-            // an integer.
-            out.push_str(&format!("{v:?}"));
-        }
-        Value::F64(v) => {
-            // Non-finite floats are not valid JSON numbers; export them
-            // as strings.
-            let s = if v.is_nan() {
-                "nan"
-            } else if *v > 0.0 {
-                "inf"
-            } else {
-                "-inf"
-            };
-            out.push('"');
-            out.push_str(s);
-            out.push('"');
-        }
-        Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
+/// The `args` object of a trace event. Finite floats use `{:?}`, Rust's
+/// shortest round-trip form, which always has a `.` or an exponent so
+/// the reader can tell it from an integer; non-finite floats are not
+/// JSON numbers and are written as the strings `nan`, `inf`, `-inf`.
+fn args_object(args: &[(String, Value)]) -> String {
+    let mut w = FlatWriter::new();
+    for (key, value) in args {
+        match value {
+            Value::Str(s) => w.str(key, s),
+            Value::U64(v) => w.raw(key, v),
+            Value::I64(v) => w.raw(key, v),
+            Value::F64(v) if v.is_finite() => w.raw(key, format_args!("{v:?}")),
+            Value::F64(v) if v.is_nan() => w.str(key, "nan"),
+            Value::F64(v) => w.str(key, if *v > 0.0 { "inf" } else { "-inf" }),
+            Value::Bool(v) => w.raw(key, v),
+        };
     }
-}
-
-fn push_args(out: &mut String, args: &[(String, Value)]) {
-    out.push('{');
-    for (i, (key, value)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(out, key);
-        out.push_str("\":");
-        push_value(out, value);
-    }
-    out.push('}');
+    w.finish()
 }
 
 /// Renders events as JSONL, one event per line.
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for event in events {
-        out.push_str("{\"cat\":\"");
-        escape_into(&mut out, &event.cat);
-        out.push_str("\",\"name\":\"");
-        escape_into(&mut out, &event.name);
-        out.push_str(&format!("\",\"ts_us\":{}", event.ts_us));
+        let mut w = FlatWriter::new();
+        w.str("cat", &event.cat)
+            .str("name", &event.name)
+            .raw("ts_us", event.ts_us);
         if let Some(dur) = event.dur_us {
-            out.push_str(&format!(",\"dur_us\":{dur}"));
+            w.raw("dur_us", dur);
         }
-        out.push_str(&format!(",\"lane\":{},\"args\":", event.lane));
-        push_args(&mut out, &event.args);
-        out.push_str("}\n");
+        w.raw("lane", event.lane)
+            .raw("args", args_object(&event.args));
+        out.push_str(&w.finish());
+        out.push('\n');
     }
     out
 }
@@ -132,24 +194,242 @@ pub fn to_chrome(events: &[Event]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("\n{\"name\":\"");
-        escape_into(&mut out, &event.name);
-        out.push_str("\",\"cat\":\"");
-        escape_into(&mut out, &event.cat);
-        out.push('"');
+        let mut w = FlatWriter::new();
+        w.str("name", &event.name).str("cat", &event.cat);
         match event.dur_us {
-            Some(dur) => out.push_str(&format!(",\"ph\":\"X\",\"dur\":{dur}")),
-            None => out.push_str(",\"ph\":\"i\",\"s\":\"t\""),
-        }
-        out.push_str(&format!(
-            ",\"ts\":{},\"pid\":1,\"tid\":{},\"args\":",
-            event.ts_us, event.lane
-        ));
-        push_args(&mut out, &event.args);
-        out.push('}');
+            Some(dur) => w.str("ph", "X").raw("dur", dur),
+            None => w.str("ph", "i").str("s", "t"),
+        };
+        w.raw("ts", event.ts_us)
+            .raw("pid", 1)
+            .raw("tid", event.lane)
+            .raw("args", args_object(&event.args));
+        out.push('\n');
+        out.push_str(&w.finish());
     }
     out.push_str("\n]\n");
     out
+}
+
+// ---------------------------------------------------------------------
+// Reading
+// ---------------------------------------------------------------------
+
+/// The tokenizer behind [`read_flat`], [`read_string`] and
+/// [`from_jsonl`]; trace `args` objects are read as flat objects too.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Cursor<'a> {
+        Cursor { text, pos: 0 }
+    }
+
+    /// The next byte after any whitespace, which is skipped.
+    fn peek(&mut self) -> Option<u8> {
+        let rest = self.text[self.pos..].trim_start_matches(|c: char| c.is_ascii_whitespace());
+        self.pos = self.text.len() - rest.len();
+        rest.bytes().next()
+    }
+
+    fn eat(&mut self, want: u8) -> Result<(), String> {
+        match self.peek() {
+            Some(b) if b == want => {
+                self.pos += 1;
+                Ok(())
+            }
+            other => Err(format!(
+                "expected `{}`, found {:?}",
+                want as char,
+                other.map(char::from)
+            )),
+        }
+    }
+
+    /// A quoted string, unescaped; borrowed from the line when it holds
+    /// no escapes. Knows `\"`, `\\`, `\/`, `\n`, `\r`, `\t` and `\uXXXX`.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.eat(b'"')?;
+        let mut owned: Option<String> = None;
+        loop {
+            let rest = &self.text[self.pos..];
+            let stop = rest.find(['"', '\\']).ok_or("unterminated string")?;
+            let run = &rest[..stop];
+            self.pos += stop + 1;
+            if rest.as_bytes()[stop] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
+                    }
+                });
+            }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(run);
+            let esc = *rest.as_bytes().get(stop + 1).ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    self.pos += 4;
+                    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                }
+                other => return Err(format!("unknown escape `\\{}`", other as char)),
+            }
+        }
+    }
+
+    /// An unquoted token: everything up to the next `,` or `}` (or the
+    /// end of the line), trimmed. Numbers, booleans and the bare `NaN`
+    /// or `inf` of a `_dec` field all read this way.
+    fn bare(&mut self) -> &'a str {
+        let rest = &self.text[self.pos..];
+        let len = rest.find([',', '}']).unwrap_or(rest.len());
+        self.pos += len;
+        rest[..len].trim()
+    }
+
+    /// A `{...}` object of string and bare-token fields. Any run of
+    /// commas and whitespace separates fields.
+    fn object(&mut self) -> Result<Vec<FlatField<'a>>, String> {
+        self.eat(b'{')?;
+        let mut fields = Vec::new();
+        loop {
+            match self.peek() {
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(fields);
+                }
+                Some(b',') => self.pos += 1,
+                Some(b'"') => {
+                    let key = self.string()?;
+                    self.eat(b':')?;
+                    let quoted = self.peek() == Some(b'"');
+                    let value = if quoted {
+                        self.string()?
+                    } else {
+                        Cow::Borrowed(self.bare())
+                    };
+                    fields.push(FlatField { key, value, quoted });
+                }
+                other => {
+                    return Err(format!(
+                        "expected a field or `}}`, found {:?}",
+                        other.map(char::from)
+                    ))
+                }
+            }
+        }
+    }
+
+    /// An unsigned integer field of a trace event.
+    fn unsigned(&mut self, field: &str) -> Result<u64, String> {
+        let token = self.bare();
+        token
+            .parse()
+            .map_err(|_| format!("field `{field}` must be an unsigned integer, got `{token}`"))
+    }
+}
+
+/// The typed value of one trace argument.
+fn arg_value(field: &FlatField<'_>) -> Result<Value, String> {
+    let token = field.value.as_ref();
+    if field.quoted {
+        Ok(Value::Str(token.to_string()))
+    } else if token == "true" || token == "false" {
+        Ok(Value::Bool(token == "true"))
+    } else if token.contains(['.', 'e', 'E']) {
+        token
+            .parse::<f64>()
+            .map(Value::F64)
+            .map_err(|_| format!("malformed float `{token}`"))
+    } else if let Some(magnitude) = token.strip_prefix('-') {
+        let magnitude = magnitude
+            .parse::<u64>()
+            .map_err(|_| format!("malformed integer `{token}`"))?;
+        i64::try_from(-i128::from(magnitude))
+            .map(Value::I64)
+            .map_err(|_| format!("integer `{token}` is below the i64 range"))
+    } else {
+        token
+            .parse::<u64>()
+            .map(Value::U64)
+            .map_err(|_| format!("malformed value `{token}`"))
+    }
+}
+
+/// Reads the quoted JSON string at the start of `text` (leading
+/// whitespace skipped) and returns it unescaped. Text after the closing
+/// quote is ignored.
+///
+/// # Errors
+///
+/// A description of what is malformed: no opening quote, no closing
+/// quote, or a bad escape.
+pub fn read_string(text: &str) -> Result<Cow<'_, str>, String> {
+    Cursor::new(text).string()
+}
+
+/// One field of a line read by [`read_flat`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlatField<'a> {
+    /// The field name, unescaped.
+    pub key: Cow<'a, str>,
+    /// The value's text: unescaped for a string, otherwise the bare
+    /// token verbatim (trimmed).
+    pub value: Cow<'a, str>,
+    /// Whether the value was a quoted string.
+    pub quoted: bool,
+}
+
+/// A flat object line as [`read_flat`] returns it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlatObject<'a> {
+    /// The fields in line order, duplicates kept.
+    pub fields: Vec<FlatField<'a>>,
+    /// Whatever follows the closing `}` (empty when nothing does).
+    pub rest: &'a str,
+}
+
+impl FlatObject<'_> {
+    /// The value text of the first field named `key`.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.fields
+            .iter()
+            .find(|f| f.key == key)
+            .map(|f| f.value.as_ref())
+    }
+}
+
+/// Reads one flat JSON object line (surrounding whitespace ignored).
+/// The reader is tolerant: any run of commas and whitespace separates
+/// fields, and an unquoted value is whatever precedes the next `,` or
+/// `}`, so the caller decides what a value must look like.
+///
+/// # Errors
+///
+/// A description of the first malformed token, or of a line that ends
+/// before its closing `}`.
+pub fn read_flat(line: &str) -> Result<FlatObject<'_>, String> {
+    let mut c = Cursor::new(line.trim());
+    let fields = c.object()?;
+    Ok(FlatObject {
+        fields,
+        rest: &c.text[c.pos..],
+    })
 }
 
 /// Parses a JSONL trace back into events, skipping blank lines.
@@ -173,154 +453,6 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Event>, TraceParseError> {
     Ok(events)
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Cursor<'a> {
-        Cursor {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == want => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected `{}`, found {:?}",
-                want as char,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".to_string());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".to_string());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("unknown escape `\\{}`", other as char)),
-                    }
-                }
-                _ => {
-                    // Re-read the full UTF-8 character starting here.
-                    let rest = &self.bytes[self.pos - 1..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().ok_or("empty char")?;
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
-                }
-            }
-        }
-    }
-
-    fn number_token(&mut self) -> Result<&'a str, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err("expected a number".to_string());
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid utf-8".to_string())
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => {
-                self.expect_word("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.expect_word("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(_) => {
-                let token = self.number_token()?;
-                if token.contains(['.', 'e', 'E']) {
-                    token
-                        .parse::<f64>()
-                        .map(Value::F64)
-                        .map_err(|_| format!("malformed float `{token}`"))
-                } else if let Some(stripped) = token.strip_prefix('-') {
-                    stripped
-                        .parse::<u64>()
-                        .map(|v| Value::I64(-(v as i64)))
-                        .map_err(|_| format!("malformed integer `{token}`"))
-                } else {
-                    token
-                        .parse::<u64>()
-                        .map(Value::U64)
-                        .map_err(|_| format!("malformed integer `{token}`"))
-                }
-            }
-            None => Err("unexpected end of line".to_string()),
-        }
-    }
-
-    fn expect_word(&mut self, word: &str) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(format!("expected `{word}`"))
-        }
-    }
-}
-
 fn parse_event(line: &str) -> Result<Event, String> {
     let mut c = Cursor::new(line);
     c.eat(b'{')?;
@@ -333,29 +465,15 @@ fn parse_event(line: &str) -> Result<Event, String> {
     loop {
         let key = c.string()?;
         c.eat(b':')?;
-        match key.as_str() {
-            "cat" => cat = Some(c.string()?),
-            "name" => name = Some(c.string()?),
-            "ts_us" => ts_us = Some(expect_u64(c.value()?, "ts_us")?),
-            "dur_us" => dur_us = Some(expect_u64(c.value()?, "dur_us")?),
-            "lane" => lane = Some(expect_u64(c.value()?, "lane")?),
+        match key.as_ref() {
+            "cat" => cat = Some(c.string()?.into_owned()),
+            "name" => name = Some(c.string()?.into_owned()),
+            "ts_us" => ts_us = Some(c.unsigned("ts_us")?),
+            "dur_us" => dur_us = Some(c.unsigned("dur_us")?),
+            "lane" => lane = Some(c.unsigned("lane")?),
             "args" => {
-                c.eat(b'{')?;
-                if c.peek() == Some(b'}') {
-                    c.eat(b'}')?;
-                } else {
-                    loop {
-                        let akey = c.string()?;
-                        c.eat(b':')?;
-                        let avalue = c.value()?;
-                        args.push((akey, avalue));
-                        if c.peek() == Some(b',') {
-                            c.eat(b',')?;
-                        } else {
-                            break;
-                        }
-                    }
-                    c.eat(b'}')?;
+                for field in c.object()? {
+                    args.push((field.key.to_string(), arg_value(&field)?));
                 }
             }
             other => return Err(format!("unknown field `{other}`")),
@@ -375,15 +493,6 @@ fn parse_event(line: &str) -> Result<Event, String> {
         lane: lane.ok_or("missing `lane`")?,
         args,
     })
-}
-
-fn expect_u64(value: Value, field: &str) -> Result<u64, String> {
-    match value {
-        Value::U64(v) => Ok(v),
-        other => Err(format!(
-            "field `{field}` must be an unsigned integer, got {other:?}"
-        )),
-    }
 }
 
 #[cfg(test)]
@@ -491,5 +600,76 @@ mod tests {
     fn blank_lines_are_skipped() {
         let text = format!("\n{}\n\n", to_jsonl(&sample()).trim_end());
         assert_eq!(from_jsonl(&text).unwrap().len(), 2);
+    }
+
+    fn arg_line(value: &str) -> String {
+        format!(
+            "{{\"cat\":\"c\",\"name\":\"n\",\"ts_us\":1,\"lane\":0,\"args\":{{\"v\":{value}}}}}"
+        )
+    }
+
+    #[test]
+    fn negative_integers_use_the_whole_i64_range() {
+        let parsed = from_jsonl(&arg_line("-9223372036854775808")).unwrap();
+        assert_eq!(parsed[0].args[0].1, Value::I64(i64::MIN));
+        let parsed = from_jsonl(&arg_line("-0")).unwrap();
+        assert_eq!(parsed[0].args[0].1, Value::I64(0));
+    }
+
+    #[test]
+    fn integers_below_the_i64_range_are_errors_naming_the_line() {
+        for token in [
+            "-9223372036854775809",
+            "-18446744073709551615",
+            "-18446744073709551616",
+        ] {
+            let text = format!("{}{}\n", to_jsonl(&sample()), arg_line(token));
+            let err = from_jsonl(&text).unwrap_err();
+            assert_eq!(err.line, 3, "{token}");
+            assert!(err.message.contains(token), "{token}: {err}");
+        }
+    }
+
+    #[test]
+    fn flat_reader_keeps_text_quoting_and_the_rest_of_the_line() {
+        let obj = read_flat(r#" {"a":"x\ty" , "b": 12 ,"c":NaN,"a":"dup"} tail "#).unwrap();
+        let view: Vec<_> = obj
+            .fields
+            .iter()
+            .map(|f| (f.key.as_ref(), f.value.as_ref(), f.quoted))
+            .collect();
+        assert_eq!(
+            view,
+            [
+                ("a", "x\ty", true),
+                ("b", "12", false),
+                ("c", "NaN", false),
+                ("a", "dup", true)
+            ]
+        );
+        assert_eq!(obj.get("a"), Some("x\ty"));
+        assert_eq!(obj.rest, " tail");
+        assert_eq!(read_flat("{}").unwrap().rest, "");
+        for bad in ["", "x", "{", r#"{"a""#, r#"{"a":1"#, r#"{"a":"\q"}"#, "{x}"] {
+            assert!(read_flat(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn writer_output_reads_back() {
+        let mut w = FlatWriter::new();
+        w.str("s", "q\"\\\u{1}é")
+            .raw("n", 7)
+            .f64("x", f64::NEG_INFINITY);
+        let line = w.finish();
+        assert_eq!(
+            line,
+            r#"{"s":"q\"\\\u0001é","n":7,"x":"fff0000000000000","x_dec":-inf}"#
+        );
+        let obj = read_flat(&line).unwrap();
+        assert_eq!(obj.get("s"), Some("q\"\\\u{1}é"));
+        assert_eq!(obj.get("x_dec"), Some("-inf"));
+        assert_eq!(FlatWriter::new().finish(), "{}");
+        assert_eq!(read_string(r#" "a\/bé" tail"#).unwrap(), "a/bé");
     }
 }

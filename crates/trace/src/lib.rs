@@ -17,7 +17,9 @@
 //! Two exporters are provided: line-oriented JSONL ([`to_jsonl`], the
 //! format `locus-report` replays via [`from_jsonl`]) and the Chrome
 //! `trace_event` JSON array ([`to_chrome`]) that `chrome://tracing`
-//! and Perfetto load directly.
+//! and Perfetto load directly. The [`json`] module that writes and
+//! reads them is also the line codec of the tuning store's record log
+//! and of the `locusd` wire protocol.
 //!
 //! # Example
 //!
@@ -38,7 +40,7 @@
 
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 
 pub use json::{from_jsonl, to_chrome, to_jsonl, TraceParseError};
 

@@ -13,6 +13,10 @@ cargo build --release --offline --workspace
 # that breaks them must fail here, not at benchmark time.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --workspace
+# The shared line codec (locus_trace::json) and the store record codec on it, named explicitly.
+cargo test -q --offline -p locus-trace -p locus-store
+# The three line formats pinned byte for byte against lines captured before the codec was shared.
+cargo test -q --offline --test line_codec
 # The store round-trip named explicitly: write, drop, reopen, warm-start
 # to the identical best point with zero re-measurements.
 cargo test -q --offline --test store_persistence

@@ -392,6 +392,32 @@ fn first_request_is_not_delayed_by_an_accept_poll() {
     );
 }
 
+/// Stopping a daemon does not wait on an idle client: `stop` shuts the
+/// read half of every live connection down, so a reader blocked on an
+/// idle connection returns at once. Five start → connect → ping → stop
+/// rounds, each `stop` timed alone, must total under 25 ms, and each
+/// idle client must see its connection end.
+#[test]
+fn stop_does_not_wait_on_idle_connections() {
+    let dir = scratch("idle-stop");
+    let mut total = std::time::Duration::ZERO;
+    for i in 0..5 {
+        let mut daemon =
+            Daemon::start(DaemonConfig::new(dir.join(format!("store-{i}.d")))).unwrap();
+        let mut client = Client::connect(daemon.addr()).unwrap();
+        assert!(client.ping("idle").unwrap());
+        let started = std::time::Instant::now();
+        daemon.stop();
+        total += started.elapsed();
+        assert!(client.recv().is_err(), "round {i}: the connection ends");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        total < std::time::Duration::from_millis(25),
+        "five stops with an idle client took {total:?}"
+    );
+}
+
 /// The daemon's supervised result path and the tracer interact: a
 /// traced daemon still answers bit-identically (tracing must never
 /// perturb tuning).
